@@ -9,7 +9,7 @@ from .errors import (
     GradobsError,
     SizeError,
 )
-from .mlf import mlf, phi_density, wright_psi
+from .mlf import phi_density, wright_psi
 from .spectral import Basis, Region, SpectralField, build_basis, whole_domain
 from .sensing import Sensor, SensorSuite
 from .dynamics import TimeGrid, simulate, time_grid
@@ -47,7 +47,6 @@ __all__ = [
     "build_g_matrices",
     "gram_regional",
     "kernel_test",
-    "mlf",
     "phi_density",
     "simulate",
     "solve",

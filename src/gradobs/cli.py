@@ -47,11 +47,10 @@ from .spectral import (
     Basis,
     Region,
     SpectralField,
-    VectorFieldSamples,
     build_basis,
     grad_adjoint,
-    region_quadrature,
     restrict,
+    restrict_gradient,
     sample_vector_field,
     whole_domain,
 )
@@ -59,6 +58,7 @@ from .dynamics import (
     ObservationRecord,
     TIME_PANELS,
     TimeGrid,
+    WEIGHTING_COMPENSATED,
     WEIGHTING_NONE,
     simulate,
     time_grid,
@@ -79,7 +79,14 @@ OUT_ENV = "GRADOBS_OUT"
 # ---------------------------------------------------------------- config ---
 
 
-def _require(config: dict, key: str, kind, where: str = "config"):
+_REQUIRED = object()
+
+
+def _require(config: dict, key: str, kind, where: str = "config",
+             default=_REQUIRED):
+    """Typed read of config[key]; an absent or null field takes `default`."""
+    if config.get(key) is None and default is not _REQUIRED:
+        return default
     if key not in config:
         raise ConfigError(f"{where}: missing field {key!r}")
     value = config[key]
@@ -87,7 +94,7 @@ def _require(config: dict, key: str, kind, where: str = "config"):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
         return float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(
             f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}"
         )
@@ -224,13 +231,22 @@ class Experiment:
         if self.horizon <= 0.0:
             raise ConfigError(f"config.horizon: must be positive")
         self.truncation = _require(config, "truncation", int)
-        self.gram_truncation = config.get("gram_truncation", min(self.truncation, 6))
-        self.potential_truncation = config.get(
-            "potential_truncation", min(self.truncation, 6)
+        self.gram_truncation = _require(
+            config, "gram_truncation", int, default=min(self.truncation, 6)
         )
-        self.gram_kind = config.get("gram_kind", GRADIENT)
-        self.weighting = config.get("weighting", WEIGHTING_NONE)
-        self.time_panels = config.get("time_panels", TIME_PANELS)
+        self.potential_truncation = _require(
+            config, "potential_truncation", int, default=min(self.truncation, 6)
+        )
+        self.gram_kind = _require(config, "gram_kind", str, default=GRADIENT)
+        self.weighting = _require(config, "weighting", str, default=WEIGHTING_NONE)
+        if self.weighting not in (WEIGHTING_NONE, WEIGHTING_COMPENSATED):
+            raise ConfigError(
+                f"config.weighting: must be {WEIGHTING_NONE!r} or "
+                f"{WEIGHTING_COMPENSATED!r}, got {self.weighting!r}"
+            )
+        self.time_panels = _require(config, "time_panels", int, default=TIME_PANELS)
+        if self.time_panels < 1:
+            raise ConfigError("config.time_panels: must be >= 1")
         try:
             self.basis = build_basis(self.dimension, self.truncation)
         except (DomainError, SizeError) as exc:
@@ -245,16 +261,25 @@ class Experiment:
                 for i, s in enumerate(sensor_specs)
             )
         )
-        noise = config.get("noise") or {}
-        self.noise_sigma = float(noise.get("sigma", 0.0))
-        self.noise_seed = noise.get("seed")
-        hum = config.get("hum") or {}
+        noise = _require(config, "noise", dict, default={})
+        self.noise_sigma = _require(noise, "sigma", float, "config.noise", 0.0)
+        if self.noise_sigma < 0.0:
+            raise ConfigError("config.noise.sigma: must be >= 0")
+        self.noise_seed = _require(noise, "seed", int, "config.noise", None)
+        hum = _require(config, "hum", dict, default={})
+        if "weighting" in hum:
+            raise ConfigError(
+                "config.hum.weighting: not read; set the top-level "
+                "'weighting' key instead"
+            )
         try:
             self.hum_config = HumConfig(
-                cg_tolerance=float(hum.get("cg_tolerance", 1e-10)),
-                max_iterations=int(hum.get("max_iterations", 500)),
-                regularization=float(hum.get("regularization", 0.0)),
-                weighting=hum.get("weighting", self.weighting),
+                _require(hum, "cg_tolerance", float, "config.hum",
+                         HumConfig.cg_tolerance),
+                _require(hum, "max_iterations", int, "config.hum",
+                         HumConfig.max_iterations),
+                _require(hum, "regularization", float, "config.hum",
+                         HumConfig.regularization),
             )
         except DomainError as exc:
             raise ConfigError(f"config.hum: {exc}") from exc
@@ -352,27 +377,20 @@ def read_observations(path: str, horizon: float) -> ObservationRecord:
     return ObservationRecord(grid, data[:, 1:].T)
 
 
-def _write_gradient_grid(out_dir: str, name: str, experiment: Experiment,
-                         field_eval) -> str:
-    """field_eval: points (N, dim) -> (dim, N) component samples."""
+def _write_gradient_grid(out_dir: str, name: str, field: SpectralField,
+                         region: Region) -> str:
+    """Write p_omega grad(field) on the uniform GRID_POINTS export grid."""
     axis = np.linspace(0.0, 1.0, GRID_POINTS)
-    if experiment.dimension == 1:
+    if field.basis.dimension == 1:
         pts = axis[:, None]
-        comps = field_eval(pts)
         lines = ["x1,g1"]
-        for k in range(pts.shape[0]):
-            lines.append(",".join([_g(pts[k, 0]), _g(comps[0, k])]))
     else:
         x1, x2 = np.meshgrid(axis, axis, indexing="ij")
         pts = np.stack([x1.ravel(), x2.ravel()], axis=1)
-        comps = field_eval(pts)
         lines = ["x1,x2,g1,g2"]
-        for k in range(pts.shape[0]):
-            lines.append(
-                ",".join(
-                    [_g(pts[k, 0]), _g(pts[k, 1]), _g(comps[0, k]), _g(comps[1, k])]
-                )
-            )
+    comps = field.grad(pts).T * region.contains(pts)[None, :]
+    for k in range(pts.shape[0]):
+        lines.append(",".join(_g(v) for v in [*pts[k], *comps[:, k]]))
     path = os.path.join(out_dir, name)
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
@@ -393,8 +411,8 @@ def cmd_mlf(args, out_dir: str) -> int:
     return 0
 
 
-def _simulate_record(experiment: Experiment) -> ObservationRecord:
-    return simulate(
+def cmd_simulate(experiment: Experiment, out_dir: str) -> int:
+    record = simulate(
         experiment.initial_state(),
         experiment.suite,
         experiment.alpha,
@@ -402,10 +420,6 @@ def _simulate_record(experiment: Experiment) -> ObservationRecord:
         noise_sigma=experiment.noise_sigma,
         noise_seed=experiment.noise_seed,
     )
-
-
-def cmd_simulate(experiment: Experiment, out_dir: str) -> int:
-    record = _simulate_record(experiment)
     _write_observations(out_dir, record)
     weighted = record.channels**2 * record.grid.weights[None, :]
     payload = {
@@ -499,7 +513,7 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
         experiment.horizon,
         experiment.region,
         truncation=experiment.potential_truncation,
-        weighting=experiment.hum_config.weighting,
+        weighting=experiment.weighting,
     )
     if observations is not None:
         record = read_observations(observations, experiment.horizon)
@@ -515,14 +529,7 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
     result = solve(record, experiment.hum_config, context)
     state_coefficients = context.d_matrix.T @ result.potential.coefficients
     state = SpectralField(experiment.basis, state_coefficients)
-    mask_region = experiment.region
-
-    def field_eval(pts: np.ndarray) -> np.ndarray:
-        comps = state.grad(pts).T
-        inside = mask_region.contains(pts)
-        return comps * inside[None, :]
-
-    _write_gradient_grid(out_dir, "gradient.csv", experiment, field_eval)
+    _write_gradient_grid(out_dir, "gradient.csv", state, experiment.region)
     payload = {
         "potential_coefficients": result.potential.coefficients,
         "state_coefficients": state_coefficients,
@@ -535,18 +542,10 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
     }
     if experiment.initial_spec is not None and observations is None:
         truth = experiment.initial_state()
-
-        def truth_eval(pts: np.ndarray) -> np.ndarray:
-            comps = truth.grad(pts).T
-            inside = mask_region.contains(pts)
-            return comps * inside[None, :]
-
-        grid = region_quadrature(mask_region, experiment.basis.truncation)
-        truth_samples = VectorFieldSamples(grid, truth.grad(grid.points).T)
         payload["relative_error"] = reconstruction_error(
-            result.gradient, truth_samples
+            result.gradient, restrict_gradient(truth, experiment.region)
         )
-        _write_gradient_grid(out_dir, "gradient_true.csv", experiment, truth_eval)
+        _write_gradient_grid(out_dir, "gradient_true.csv", truth, experiment.region)
     if not result.converged:
         _write_report(out_dir, "reconstruct", experiment.config, payload)
         raise ConvergenceError(
@@ -571,12 +570,6 @@ def cmd_counterexample(experiment: Experiment, out_dir: str) -> int:
         g, experiment.suite, experiment.alpha, strip, basis, grid
     )
     # Closed-form strip response on the eigenvalue -2 pi^2 mode.
-    record = simulate(
-        grad_adjoint(restrict(g, strip), basis),
-        experiment.suite,
-        experiment.alpha,
-        grid,
-    )
     amplitude = 5.0 * math.sqrt(3.0) / (8.0 * math.pi)
     predicted = np.array(
         [
@@ -587,9 +580,9 @@ def cmd_counterexample(experiment: Experiment, out_dir: str) -> int:
             for t in grid.nodes
         ]
     )
-    rel = float(
-        np.max(np.abs(record.channels[0] - predicted) / np.max(np.abs(predicted)))
-    )
+    rel = float(np.max(
+        np.abs(strip_report.channels[0] - predicted) / np.max(np.abs(predicted))
+    ))
     payload = {
         "whole_domain_in_kernel": whole.in_kernel,
         "whole_domain_sup_norm": whole.sup_norm,
@@ -646,8 +639,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory "
                        f"(default ${OUT_ENV} or current directory)")
         p.add_argument("--seed", type=int, help="noise seed override")
-        p.add_argument("--threads", type=int,
-                       help="BLAS thread cap (best effort)")
 
     p_mlf = sub.add_parser("mlf", help="evaluate the two-parameter function")
     p_mlf.add_argument("--alpha", type=float, required=True)
@@ -655,7 +646,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mlf.add_argument("--z", required=True, help="comma-separated arguments")
     p_mlf.add_argument("--out", help="output directory")
     p_mlf.add_argument("--save", action="store_true", help="also write mlf.csv")
-    p_mlf.add_argument("--threads", type=int)
 
     for name, helptext in [
         ("simulate", "forward solve and sensor observation"),
@@ -671,18 +661,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_threads(threads: int | None) -> None:
-    if threads is not None and threads >= 1:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        _apply_threads(getattr(args, "threads", None))
         out_dir = getattr(args, "out", None) or os.environ.get(OUT_ENV) or "."
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "mlf":

@@ -14,7 +14,6 @@ keep every downstream integral finite on all of alpha in (0, 1].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,23 +99,19 @@ class ObservationRecord:
         object.__setattr__(self, "channels", channels)
 
 
-def propagate_coeff(alpha: float, lam: float, c0: float, t: float) -> float:
-    """Mode coefficient at time t: t**(alpha-1) E_{alpha,alpha}(lam t**alpha) c0."""
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"fractional order must be in (0, 1], got {alpha}")
-    if lam > 0.0:
-        raise DomainError(f"eigenvalue must be <= 0, got {lam}")
-    if t <= 0.0:
-        if t == 0.0 and alpha == 1.0:
-            return c0
-        raise DomainError(f"time must be positive (singular prefactor), got {t}")
-    return t ** (alpha - 1.0) * mlf(alpha, alpha, lam * t**alpha) * c0
-
-
 def response_matrix(alpha: float, eigenvalues: np.ndarray, times: np.ndarray) -> np.ndarray:
     """F[j, k] = t_k**(alpha-1) E_{alpha,alpha}(lambda_j t_k**alpha)."""
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
     times = np.asarray(times, dtype=float)
-    out = np.empty((len(eigenvalues), times.size))
+    if not (0.0 < alpha <= 1.0):
+        raise DomainError(f"fractional order must be in (0, 1], got {alpha}")
+    if np.any(eigenvalues > 0.0):
+        raise DomainError(f"eigenvalues must be <= 0, got {eigenvalues.max()}")
+    if np.any(times <= 0.0):
+        raise DomainError(
+            f"times must be positive (singular prefactor), got {times.min()}"
+        )
+    out = np.empty((eigenvalues.size, times.size))
     ta = times**alpha
     pref = times ** (alpha - 1.0)
     for j, lam in enumerate(eigenvalues):
@@ -145,9 +140,8 @@ def simulate(
     noise_seed: int | None = None,
 ) -> ObservationRecord:
     """Sensor outputs z_i(t_k) of the mild solution from initial state y0."""
-    eigenvalues = np.array([m.eigenvalue for m in y0.basis.modes])
     kappa = coupling_matrix(suite, y0.basis)
-    resp = response_matrix(alpha, eigenvalues, grid.nodes)
+    resp = response_matrix(alpha, y0.basis.eigenvalues, grid.nodes)
     channels = kappa @ (y0.coefficients[:, None] * resp)
     if noise_sigma > 0.0:
         if noise_seed is None:
@@ -211,10 +205,8 @@ def duhamel_weight(
         raise DomainError(f"horizon must be positive, got {b}")
     _check_weighting(alpha, weighting)
     s, wq = _point_kernel_mesh(0.0, 0.5 * b, alpha)
-    fjl = np.array([propagate_coeff(alpha, lambda_j, 1.0, t) for t in s])
-    fkl = np.array([propagate_coeff(alpha, lambda_k, 1.0, t) for t in s])
-    fjr = np.array([propagate_coeff(alpha, lambda_j, 1.0, b - t) for t in s])
-    fkr = np.array([propagate_coeff(alpha, lambda_k, 1.0, b - t) for t in s])
+    fjl, fkl = response_matrix(alpha, [lambda_j, lambda_k], s)
+    fjr, fkr = response_matrix(alpha, [lambda_j, lambda_k], b - s)
     w = np.ones_like(s)
     if weighting == WEIGHTING_COMPENSATED:
         w = (s * (b - s)) ** (1.0 - alpha)
@@ -239,8 +231,7 @@ def response_gram_weight(
         raise DomainError(f"horizon must be positive, got {b}")
     _check_weighting(alpha, weighting)
     nodes, wq = _point_kernel_mesh(0.0, b, alpha)
-    fj = np.array([propagate_coeff(alpha, lambda_j, 1.0, s) for s in nodes])
-    fk = np.array([propagate_coeff(alpha, lambda_k, 1.0, s) for s in nodes])
+    fj, fk = response_matrix(alpha, [lambda_j, lambda_k], nodes)
     w = np.ones_like(nodes)
     if weighting == WEIGHTING_COMPENSATED:
         w = nodes ** (2.0 * (1.0 - alpha))

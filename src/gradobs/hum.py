@@ -17,7 +17,7 @@ coercivity surrogate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +34,10 @@ from .sensing import SensorSuite, coupling_matrix
 from .spectral import (
     Basis,
     Region,
+    SpectralField,
     VectorFieldSamples,
     build_basis,
-    region_quadrature,
+    restrict_gradient,
 )
 from .observability import grad_overlap_matrix
 
@@ -65,7 +66,6 @@ class HumConfig:
     cg_tolerance: float = 1e-10
     max_iterations: int = 500
     regularization: float = 0.0
-    weighting: str = WEIGHTING_NONE
 
     def __post_init__(self) -> None:
         if self.cg_tolerance <= 0.0:
@@ -103,12 +103,11 @@ class HumContext:
         self.potential_basis = build_basis(basis.dimension, truncation)
         self.d_matrix = grad_overlap_matrix(self.potential_basis, basis, region)
         self.kappa = coupling_matrix(suite, basis)
-        self.eigenvalues = np.array([m.eigenvalue for m in basis.modes])
         nodes, quad_weights = gram_time_mesh(self.alpha, self.horizon)
         self.time_nodes = nodes
         self.quad_weights = quad_weights
         self.weight_values = time_weight(self.alpha, nodes, weighting)
-        self.response = response_matrix(self.alpha, self.eigenvalues, nodes)
+        self.response = response_matrix(self.alpha, basis.eigenvalues, nodes)
 
     @property
     def size(self) -> int:
@@ -156,35 +155,38 @@ def apply_lambda(a: PotentialVector | np.ndarray, context: HumContext) -> np.nda
     return context.data_functional(context.forward_channels(a))
 
 
-def rhs_from_data(record: ObservationRecord, context: HumContext) -> np.ndarray:
-    """Data-side functional b from measured channels.
+def _channels_on_mesh(record: ObservationRecord, context: HumContext) -> np.ndarray:
+    """The record's channels on the context mesh.
 
     Channels sampled on a grid other than the context mesh are linearly
     interpolated onto it (with a warning when the observation grid is the
     coarser of the two).
     """
+    nodes = record.grid.nodes
+    if nodes.size == context.time_nodes.size and np.allclose(
+        nodes, context.time_nodes, rtol=0.0, atol=1e-14
+    ):
+        return record.channels
+    if nodes.size < context.time_nodes.size:
+        warnings.warn(
+            f"observation grid ({nodes.size} nodes) is coarser than the "
+            f"quadrature mesh ({context.time_nodes.size}); interpolating",
+            UserWarning,
+            stacklevel=3,
+        )
+    return np.stack(
+        [np.interp(context.time_nodes, nodes, ch) for ch in record.channels]
+    )
+
+
+def rhs_from_data(record: ObservationRecord, context: HumContext) -> np.ndarray:
+    """Data-side functional b from measured channels on the context mesh."""
     if record.channels.shape[0] != len(context.suite):
         raise DomainError(
             f"record has {record.channels.shape[0]} channels, suite has "
             f"{len(context.suite)}"
         )
-    nodes = record.grid.nodes
-    if nodes.size == context.time_nodes.size and np.allclose(
-        nodes, context.time_nodes, rtol=0.0, atol=1e-14
-    ):
-        channels = record.channels
-    else:
-        if nodes.size < context.time_nodes.size:
-            warnings.warn(
-                f"observation grid ({nodes.size} nodes) is coarser than the "
-                f"quadrature mesh ({context.time_nodes.size}); interpolating",
-                UserWarning,
-                stacklevel=2,
-            )
-        channels = np.stack(
-            [np.interp(context.time_nodes, nodes, ch) for ch in record.channels]
-        )
-    return context.data_functional(channels)
+    return context.data_functional(_channels_on_mesh(record, context))
 
 
 def _smallest_ritz(alphas: list[float], betas: list[float]) -> float:
@@ -269,12 +271,7 @@ def reconstruct_gradient(
     initial gradient exactly: D^T (D M D^T)^{-1} D M = I.)
     """
     c = context.d_matrix.T @ a.coefficients
-    grid = region_quadrature(context.region, context.basis.truncation)
-    comps = np.zeros((context.basis.dimension, grid.points.shape[0]))
-    for coeff, mode in zip(c, context.basis.modes):
-        if coeff != 0.0:
-            comps += coeff * mode.grad(grid.points).T
-    return VectorFieldSamples(grid, comps)
+    return restrict_gradient(SpectralField(context.basis, c), context.region)
 
 
 def reconstruction_error(
@@ -311,15 +308,7 @@ def discrepancy_regularization(
         return 0.0
     wq = context.quad_weights * context.weight_values
     delta2 = factor**2 * noise_sigma**2 * len(context.suite) * float(np.sum(wq))
-    nodes = record.grid.nodes
-    if nodes.size == context.time_nodes.size and np.allclose(
-        nodes, context.time_nodes, rtol=0.0, atol=1e-14
-    ):
-        channels = record.channels
-    else:
-        channels = np.stack(
-            [np.interp(context.time_nodes, nodes, ch) for ch in record.channels]
-        )
+    channels = _channels_on_mesh(record, context)
     lam_scale = float(np.max(np.abs(apply_lambda(np.ones(context.size), context))))
     lam_scale = max(lam_scale, 1e-300)
     grid = [0.0] + [
@@ -328,9 +317,7 @@ def discrepancy_regularization(
     ]
     best = 0.0
     for eps in grid:
-        cfg = HumConfig(
-            config.cg_tolerance, config.max_iterations, eps, config.weighting
-        )
+        cfg = HumConfig(config.cg_tolerance, config.max_iterations, eps)
         result = solve(record, cfg, context)
         model = context.forward_channels(result.potential.coefficients)
         misfit2 = float(np.sum(wq[None, :] * (model - channels) ** 2))

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -40,32 +39,6 @@ PSI_STOP_REL = 1e-14
 
 class AccuracyWarning(UserWarning):
     """Quadrature error estimate exceeded the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional time order, restricted to (0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"fractional order must be in (0, 1], got {self.alpha}")
-
-
-@dataclass(frozen=True)
-class MlfParams:
-    """Parameter pair (alpha, beta) of the two-parameter Mittag-Leffler function."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise DomainError(
-                f"Mittag-Leffler parameters must be positive, got "
-                f"alpha={self.alpha}, beta={self.beta}"
-            )
 
 
 def rgamma(x: float) -> float:

@@ -9,14 +9,12 @@ the state, so each sensor reduces to one coupling number per basis mode.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .spectral import (
-    NODES_PER_PANEL,
     MIN_PANELS,
     Basis,
     Mode,
@@ -164,26 +162,16 @@ def coupling_matrix(suite: SensorSuite, basis: Basis) -> np.ndarray:
 
 
 def observe(state: SpectralField, suite: SensorSuite) -> np.ndarray:
-    """Output vector z with z_i = sum_modes coeff * coupling(sensor_i, mode)."""
-    out = np.zeros(len(suite))
-    for i, sensor in enumerate(suite.sensors):
-        acc = 0.0
-        for c, mode in zip(state.coefficients, state.basis.modes):
-            acc += c * coupling(sensor, mode)
-        out[i] = acc
-    return out
+    """Output vector z = kappa c of the state with coefficients c."""
+    return coupling_matrix(suite, state.basis) @ state.coefficients
 
 
 def adjoint_inject(z: np.ndarray, suite: SensorSuite, basis: Basis) -> SpectralField:
-    """Spectral realization of the adjoint output map C*."""
+    """Spectral realization of the adjoint output map C*: c = kappa^T z."""
     z = np.asarray(z, dtype=float)
     if z.shape != (len(suite),):
         raise DomainError(f"expected {len(suite)} channel values, got {z.shape}")
-    coeffs = np.zeros(len(basis))
-    for j, mode in enumerate(basis.modes):
-        for i, sensor in enumerate(suite.sensors):
-            coeffs[j] += z[i] * coupling(sensor, mode)
-    return SpectralField(basis, coeffs)
+    return SpectralField(basis, coupling_matrix(suite, basis).T @ z)
 
 
 def counterexample_sensor() -> Sensor:

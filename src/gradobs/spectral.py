@@ -97,6 +97,11 @@ class Basis:
     def __len__(self) -> int:
         return len(self.modes)
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalue of each mode, in basis mode order."""
+        return np.array([m.eigenvalue for m in self.modes])
+
     def index_of(self, indices: tuple[int, ...]) -> int:
         for pos, m in enumerate(self.modes):
             if m.indices == tuple(indices):
@@ -300,23 +305,6 @@ def sample_vector_field(func, region: Region, max_index: int) -> VectorFieldSamp
     grid = region_quadrature(region, max_index)
     values = np.asarray(func(grid.points), dtype=float)
     return VectorFieldSamples(grid, values.T)
-
-
-def inner_product(f, mode: Mode, region: Region) -> float:
-    """int_region f * xi_mode dx for a callable or SpectralField f."""
-    max_index = mode.max_index
-    if isinstance(f, SpectralField):
-        max_index = max(max_index, f.basis.truncation)
-        fvals = f.eval
-    else:
-        fvals = f
-    grid = region_quadrature(region, max_index)
-    return float(np.sum(grid.weights * fvals(grid.points) * mode.eval(grid.points)))
-
-
-def grad_eval(mode: Mode, points: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the eigenfunction at each point, shape (N, dim)."""
-    return mode.grad(points)
 
 
 def grad_adjoint(g: VectorFieldSamples, basis: Basis) -> SpectralField:

@@ -66,6 +66,41 @@ def test_unweighted_small_alpha_is_a_numerical_domain_error(tmp_path, capsys):
     assert "compensated" in capsys.readouterr().err
 
 
+def _set(config, path, value):
+    *head, key = path
+    for part in head:
+        config = config.setdefault(part, {})
+    config[key] = value
+
+
+@pytest.mark.parametrize(
+    "command,path,value,field",
+    [
+        ("simulate", ("hum", "max_iterations"), "x", "max_iterations"),
+        ("reconstruct", ("hum", "max_iterations"), "x", "max_iterations"),
+        ("simulate", ("hum", "cg_tolerance"), "abc", "cg_tolerance"),
+        ("reconstruct", ("hum", "cg_tolerance"), "abc", "cg_tolerance"),
+        ("simulate", ("time_panels",), "32", "time_panels"),
+        ("reconstruct", ("potential_truncation",), 2.5, "potential_truncation"),
+        ("reconstruct", ("weighting",), "bogus", "weighting"),
+        ("simulate", ("noise", "sigma"), -1e-3, "sigma"),
+        ("reconstruct", ("noise", "sigma"), -1e-3, "sigma"),
+        ("simulate", ("noise", "seed"), "abc", "seed"),
+        ("reconstruct", ("hum", "weighting"), "none", "top-level 'weighting'"),
+    ],
+)
+def test_config_mistakes_exit_2(tmp_path, capsys, command, path, value, field):
+    config = preset("hum-synthetic")
+    _set(config, path, value)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = main([command, "--config", str(config_path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert field in err
+
+
 def test_exhausted_solver_budget_exits_nonconvergent(tmp_path, capsys):
     config = preset("hum-pipeline")
     config["hum"]["max_iterations"] = 1

@@ -18,8 +18,8 @@ from gradobs.dynamics import (
     WEIGHTING_COMPENSATED,
     WEIGHTING_NONE,
     duhamel_weight,
-    propagate_coeff,
     response_gram_weight,
+    response_matrix,
     simulate,
     time_grid,
 )
@@ -69,17 +69,22 @@ def test_time_grid_rejects_inconsistent_weights():
         TimeGrid(1.0, np.array([0.0, 0.5]), np.array([0.5, 0.5]))
 
 
-def test_propagate_coeff_integer_order():
-    lam = -4.0 * PI2
-    for t in (0.1, 0.5, 1.0):
-        assert propagate_coeff(1.0, lam, 2.0, t) == pytest.approx(
-            2.0 * math.exp(lam * t), rel=1e-14
-        )
-    assert propagate_coeff(1.0, lam, 2.0, 0.0) == 2.0
+def test_response_matrix_integer_order():
+    lams = [-PI2, -4.0 * PI2]
+    times = np.array([0.1, 0.5, 1.0])
+    resp = response_matrix(1.0, lams, times)
+    assert resp.shape == (2, 3)
+    for j, lam in enumerate(lams):
+        for k, t in enumerate(times):
+            assert resp[j, k] == pytest.approx(math.exp(lam * t), rel=1e-14)
     with pytest.raises(DomainError):
-        propagate_coeff(0.5, lam, 1.0, 0.0)  # singular prefactor
+        response_matrix(0.5, lams, np.array([0.0, 0.5]))  # singular prefactor
     with pytest.raises(DomainError):
-        propagate_coeff(0.5, 1.0, 1.0, 0.5)  # positive eigenvalue
+        response_matrix(0.5, lams, np.array([-0.1, 0.5]))
+    with pytest.raises(DomainError):
+        response_matrix(0.5, [-PI2, 1.0], times)  # positive eigenvalue
+    with pytest.raises(DomainError):
+        response_matrix(1.5, lams, times)
 
 
 @pytest.mark.parametrize("alpha,j,k,expected", DUHAMEL_ORACLE)
@@ -125,6 +130,13 @@ def test_unweighted_integrals_reject_small_alpha():
         response_gram_weight(0.4, -PI2, -PI2, 1.0, WEIGHTING_NONE)
     with pytest.raises(DomainError):
         duhamel_weight(0.6, -PI2, -PI2, 1.0, "sqrt")
+
+
+def test_response_integrals_reject_positive_eigenvalue():
+    with pytest.raises(DomainError):
+        duhamel_weight(0.6, -PI2, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        response_gram_weight(0.6, 1.0, -PI2, 1.0)
 
 
 def test_simulate_heat_limit_matches_semigroup():

@@ -6,11 +6,14 @@ E_{a,b}(-x) = L^{-1}[s^(a-b) / (s^a + x)](1) (Talbot contour, degree 80).
 """
 
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradobs.mlf as mlf_module
 from gradobs.errors import DomainError
 from gradobs.mlf import (
     mlf,
@@ -161,3 +164,9 @@ def test_moment_check_rejects_bad_orders():
         moment_check(0.5, 5.0)
     with pytest.raises(DomainError):
         moment_check(1.0, 1.0)
+
+
+def test_submodule_is_not_shadowed_by_the_function():
+    assert isinstance(mlf_module, types.ModuleType)
+    assert sys.modules["gradobs.mlf"] is mlf_module
+    assert mlf_module.mlf is mlf

@@ -29,6 +29,8 @@ from gradobs.spectral import (
     Region,
     SpectralField,
     build_basis,
+    grad_adjoint,
+    restrict,
     sample_vector_field,
     whole_domain,
 )
@@ -226,6 +228,22 @@ def test_kernel_test_counterexample_field():
         lambda pts: np.zeros_like(pts), whole_domain(2), 6
     )
     assert kernel_test(zero, suite, 0.5, whole_domain(2), basis, grid).in_kernel
+
+
+def test_kernel_test_channels_match_simulate():
+    # simulate is the independent path to the strip state's output
+    basis = build_basis(2, 6)
+    suite = SensorSuite((counterexample_sensor(),))
+    g = sample_vector_field(_vortex_free_field, whole_domain(2), 6)
+    grid = time_grid(0.5, 1.0, panels=4)
+    strip = Region((((0.0, 1.0), (0.0, 1.0 / 6.0)),))
+    report = kernel_test(g, suite, 0.5, strip, basis, grid)
+    state = grad_adjoint(restrict(g, strip), basis)
+    expected = simulate(state, suite, 0.5, grid).channels
+    assert report.channels.shape == expected.shape
+    assert np.max(np.abs(report.channels - expected)) <= 1e-14 * np.max(
+        np.abs(expected)
+    )
 
 
 def test_gram_validation():
