@@ -64,6 +64,7 @@ from .dynamics import (
     time_grid,
 )
 from .observability import (
+    COMPONENT,
     GRADIENT,
     build_g_matrices,
     gram_regional,
@@ -237,7 +238,19 @@ class Experiment:
         self.potential_truncation = _require(
             config, "potential_truncation", int, default=min(self.truncation, 6)
         )
+        for key, value in (("gram_truncation", self.gram_truncation),
+                           ("potential_truncation", self.potential_truncation)):
+            if not (1 <= value <= self.truncation):
+                raise ConfigError(
+                    f"config.{key}: must be in [1, truncation={self.truncation}], "
+                    f"got {value}"
+                )
         self.gram_kind = _require(config, "gram_kind", str, default=GRADIENT)
+        if self.gram_kind not in (COMPONENT, GRADIENT):
+            raise ConfigError(
+                f"config.gram_kind: must be {COMPONENT!r} or {GRADIENT!r}, "
+                f"got {self.gram_kind!r}"
+            )
         self.weighting = _require(config, "weighting", str, default=WEIGHTING_NONE)
         if self.weighting not in (WEIGHTING_NONE, WEIGHTING_COMPENSATED):
             raise ConfigError(
@@ -266,6 +279,11 @@ class Experiment:
         if self.noise_sigma < 0.0:
             raise ConfigError("config.noise.sigma: must be >= 0")
         self.noise_seed = _require(noise, "seed", int, "config.noise", None)
+        if self.noise_sigma > 0.0 and self.noise_seed is None:
+            raise ConfigError(
+                "config.noise.seed: required when noise.sigma > 0 "
+                "(or pass --seed)"
+            )
         hum = _require(config, "hum", dict, default={})
         if "weighting" in hum:
             raise ConfigError(

@@ -8,7 +8,10 @@ evaluator is specialized to the real line with ``z <= Z_MAX``:
   within double precision's cancellation budget,
 * asymptotic expansion ``-sum z**-k / Gamma(beta - alpha*k)`` once the
   omitted exponentially small part ``exp(-|z|**(1/alpha))`` is negligible,
-* extended-precision power series (mpmath) in the gap between the two.
+* in the gap between the two, for 0 < alpha < 1, Gauss-Legendre quadrature
+  of the positive-axis Laplace integral (Gorenflo, Loutchko & Luchko 2002)
+  in double precision; only alpha >= 1 falls back to an extended-precision
+  (mpmath) power series there, because the integral needs alpha < 1.
 
 The density ``psi_alpha`` is the one-sided stable series
 ``(1/pi) * sum (-1)**(n-1) theta**(-alpha*n-1) Gamma(n*alpha+1)/n! *
@@ -24,6 +27,7 @@ import math
 import warnings
 
 import mpmath as mp
+import numpy as np
 
 from .errors import AccuracyError, DomainError
 
@@ -35,6 +39,15 @@ SERIES_CAP = 4000
 THETA_MIN = 0.05
 PSI_TERM_CAP = 500
 PSI_STOP_REL = 1e-14
+# Laplace-integral quadrature (gap branch): 24-point Gauss-Legendre panels,
+# graded geometrically in v = r**gamma from 1e-15 up to r = 1 and dyadic in r
+# from 1 out to 64, where exp(-r) is far below double precision
+LAPLACE_NODES, LAPLACE_WEIGHTS = np.polynomial.legendre.leggauss(24)
+LAPLACE_V_EDGES = (0.0,) + tuple(1e-15 * 8.0**k for k in range(17)) + (1.0,)
+LAPLACE_R_EDGES = tuple(2.0**k for k in range(7))
+# for alpha > 1/2, extra edges at r* +- (1/4, 1, 4, 16, ...) dip half-widths
+LAPLACE_DIP_FIRST = 0.25
+LAPLACE_DIP_RATIO = 4.0
 
 
 class AccuracyWarning(UserWarning):
@@ -114,6 +127,105 @@ def _mlf_series_mp(alpha: float, beta: float, z: float, peak_nats: float) -> flo
     )
 
 
+def _sin_pi(t: float) -> float:
+    """sin(pi t), accurate relative to its size also next to an integer t."""
+    n = round(t)
+    s = math.sin(math.pi * (t - n))  # t - n is exact
+    return -s if n % 2 else s
+
+
+def _gauss_panels(edges: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on the edges."""
+    edges = np.unique(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * LAPLACE_NODES).ravel(), (half * LAPLACE_WEIGHTS).ravel()
+
+
+def _laplace_integral(alpha: float, beta: float, x: float) -> float:
+    """E_{alpha,beta}(-x) for 0 < alpha < 1, 0 < beta <= 1 and x > 0.
+
+    Collapsing the Hankel contour of L^{-1}[s**(alpha-beta) / (s**alpha + x)]
+    onto the negative axis (no pole on the principal sheet for alpha < 1)
+    gives
+
+        (1/pi) int_0^inf exp(-r) r**(alpha-beta)
+            [r**alpha sin(pi beta) + x sin(pi (beta-alpha))]
+            / ((r**alpha + x cos(pi alpha))**2 + (x sin(pi alpha))**2) dr.
+
+    For beta = alpha the integrand is positive.  For alpha > 1/2 the
+    denominator dips to (x sin(pi alpha))**2 at
+    r* = (-x cos(pi alpha))**(1/alpha), a peak of relative width
+    sin(pi alpha) / (alpha |cos(pi alpha)|) that narrows as alpha -> 1, so
+    panel edges cluster there.  Below r = 1 the rule runs in v = r**gamma,
+    gamma = 1 + alpha - beta, which absorbs the endpoint factor:
+    r**(alpha-beta) dr = dv / gamma.  Above it the rule runs in the offset
+    u = r - r*, and r**alpha + x cos(pi alpha) is formed as
+    (r* - x) + u + (r**alpha - r) + x (1 + cos(pi alpha)), with every sine
+    and 1 + cos reduced to a small argument, so nothing cancels however
+    narrow the peak.
+    """
+    gamma = 1.0 + alpha - beta
+    sin_a = _sin_pi(alpha)
+    one_plus_cos = 2.0 * math.sin(0.5 * math.pi * (1.0 - alpha)) ** 2
+    r_star = 0.0
+    dip_offsets = []
+    if alpha > 0.5:
+        minus_cos = 1.0 - one_plus_cos
+        r_star = (x * minus_cos) ** (1.0 / alpha)
+        step = LAPLACE_DIP_FIRST * r_star * sin_a / (alpha * minus_cos)
+        while step < LAPLACE_R_EDGES[-1]:
+            dip_offsets += [-step, step]
+            step *= LAPLACE_DIP_RATIO
+    v, v_weights = _gauss_panels(
+        list(LAPLACE_V_EDGES)
+        + [(r_star + u) ** gamma for u in dip_offsets if 0.0 < r_star + u < 1.0]
+    )
+    u, u_weights = _gauss_panels(
+        [r - r_star for r in LAPLACE_R_EDGES]
+        + [u for u in dip_offsets if 1.0 < r_star + u < LAPLACE_R_EDGES[-1]]
+    )
+    log_v = np.log(v)
+    r_a_lo = np.exp(log_v * (alpha / gamma))
+    r_hi = r_star + u
+    log_r_hi = np.log(r_hi)
+    r = np.concatenate([np.exp(log_v / gamma), r_hi])
+    r_a = np.concatenate([r_a_lo, np.exp(alpha * log_r_hi)])
+    weights = np.concatenate(
+        [v_weights / gamma, u_weights * np.exp((alpha - beta) * log_r_hi)]
+    )
+    dip = np.concatenate([
+        r_a_lo - x,
+        (r_star - x) + u + r_hi * np.expm1((alpha - 1.0) * log_r_hi),
+    ]) + x * one_plus_cos
+    sin_b = _sin_pi(beta)
+    # the bracket's two terms cancel near the dip as alpha -> 1, so there it
+    # is regrouped as sin(pi beta) dip - x cos(pi beta) sin(pi alpha)
+    numer = np.where(
+        2.0 * r_a < x,
+        r_a * sin_b + x * _sin_pi(beta - alpha),
+        dip * sin_b - x * _sin_pi(0.5 - beta) * sin_a,
+    )
+    denom = dip**2 + (x * sin_a) ** 2
+    return float(np.sum(weights * np.exp(-r) * numer / denom)) / math.pi
+
+
+def _mlf_laplace(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) for 0 < alpha < 1 and z < -1 via the Laplace integral.
+
+    beta > 1 is first lowered to beta <= 1 by the recurrence
+    E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, which divides by |z| > 1
+    and cancels nothing.  Stopping anywhere below 1 + alpha instead could
+    leave gamma = 1 + alpha - beta near zero, which the quadrature cannot
+    resolve.
+    """
+    steps = max(0, math.ceil((beta - 1.0) / alpha))
+    value = _laplace_integral(alpha, beta - steps * alpha, -z)
+    for k in range(steps, 0, -1):
+        value = (value - rgamma(beta - k * alpha)) / z
+    return value
+
+
 def _mlf_asymptotic(alpha: float, beta: float, z: float) -> float:
     """Asymptotic expansion for large negative z, truncated at the smallest term."""
     total = 0.0
@@ -164,6 +276,8 @@ def mlf(alpha: float, beta: float, z: float) -> float:
     if peak_nats >= ASYMPTOTIC_SAFE_NATS:
         # the omitted exponentially small part is exp(-peak_nats) <= 2e-15
         return _mlf_asymptotic(alpha, beta, z)
+    if alpha < 1.0:
+        return _mlf_laplace(alpha, beta, z)
     return _mlf_series_mp(alpha, beta, z, peak_nats)
 
 
@@ -361,8 +475,6 @@ def moment_check(alpha: float, nu: float) -> float:
     cut = 1.0
     while cut < 60.0 and cut**4 * _phi_moment(alpha, cut) > 1e-16:
         cut += 1.0
-
-    import numpy as np
 
     def quad(panels: int) -> float:
         nodes, weights = np.polynomial.legendre.leggauss(8)

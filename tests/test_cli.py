@@ -87,6 +87,11 @@ def _set(config, path, value):
         ("reconstruct", ("noise", "sigma"), -1e-3, "sigma"),
         ("simulate", ("noise", "seed"), "abc", "seed"),
         ("reconstruct", ("hum", "weighting"), "none", "top-level 'weighting'"),
+        ("reconstruct", ("potential_truncation",), 3, "potential_truncation"),
+        ("reconstruct", ("potential_truncation",), 0, "potential_truncation"),
+        ("gram", ("gram_truncation",), 0, "gram_truncation"),
+        ("gram", ("gram_kind",), "bogus", "gram_kind"),
+        ("simulate", ("noise",), {"sigma": 1e-3}, "seed"),
     ],
 )
 def test_config_mistakes_exit_2(tmp_path, capsys, command, path, value, field):
@@ -99,6 +104,18 @@ def test_config_mistakes_exit_2(tmp_path, capsys, command, path, value, field):
     assert code == 2
     assert "Traceback" not in err
     assert field in err
+
+
+def test_seed_flag_supplies_a_missing_noise_seed(tmp_path, capsys):
+    config = preset("hum-synthetic")
+    config["noise"] = {"sigma": 1e-3}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = main(["simulate", "--config", str(config_path), "--seed", "5",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["payload"]["noise_seed"] == 5
 
 
 def test_exhausted_solver_budget_exits_nonconvergent(tmp_path, capsys):

@@ -3,12 +3,14 @@
 The reference values below were generated independently with mpmath at 50
 significant digits via the inverse-Laplace representation
 E_{a,b}(-x) = L^{-1}[s^(a-b) / (s^a + x)](1) (Talbot contour, degree 80).
+The branch tests compute theirs in the test with `_mp_series`.
 """
 
 import math
 import sys
 import types
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,7 +49,85 @@ MLF_ORACLE = [
 @pytest.mark.parametrize("alpha,beta,z,expected", MLF_ORACLE)
 def test_mlf_against_inverse_laplace_oracle(alpha, beta, z, expected):
     value = mlf(alpha, beta, z)
-    assert value == pytest.approx(expected, rel=5e-12)
+    assert value == pytest.approx(expected, rel=5e-12, abs=0.0)
+
+
+def _mp_series(alpha, beta, z):
+    """E_{alpha,beta}(z) by its power series in mpmath, with the working
+    precision raised past the alternating-term peak exp(|z|**(1/alpha))."""
+    peak = abs(z) ** (1.0 / alpha)
+    dps = 30 + int(0.4343 * peak)
+    with mp.workdps(dps):
+        am, bm, zm = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
+        tol = mp.mpf(10) ** (-(dps - 3))
+        total = mp.mpf(0)
+        power = mp.mpf(1)
+        k = 0
+        while True:
+            term = power * mp.rgamma(am * k + bm)
+            total += term
+            if k > peak + 2 and abs(term) <= tol * abs(total):
+                return float(total)
+            power *= zm
+            k += 1
+
+
+def _at_peak_nats(alpha, peak_nats):
+    """The negative argument whose alternating-series peak is peak_nats."""
+    return -(peak_nats**alpha)
+
+
+@pytest.mark.parametrize(
+    "alpha", [0.05, 0.35, 0.5, 0.75, 0.9, 0.97, 0.999, 1.0 - 1e-6, 1.0 - 1e-10]
+)
+def test_gap_branch_against_mp_series(alpha):
+    # beta > 1 runs the downward recurrence, alpha >= 0.97 the panels
+    # clustered at the denominator's dip; next to alpha = 1 the dip is only
+    # ~pi (1 - alpha) r* wide, and forming sin(pi alpha) or r**alpha - x
+    # naively there loses ~-log10(1 - alpha) digits
+    assert mlf_module.SERIES_SAFE_NATS < 9.01
+    assert 33.99 < mlf_module.ASYMPTOTIC_SAFE_NATS
+    for beta in (alpha, 0.3, 1.0, 1.0 + alpha, 2.5):
+        for peak_nats in (9.01, 15.0, 25.0, 33.99):
+            z = _at_peak_nats(alpha, peak_nats)
+            assert mlf(alpha, beta, z) == pytest.approx(
+                _mp_series(alpha, beta, z), rel=5e-12, abs=0.0
+            ), (beta, peak_nats)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 0.9, 0.97, 0.99])
+def test_branch_seams_against_mp_series(alpha):
+    # each side is held to what its method meets: the double-precision
+    # series just below the lower seam and the asymptotic expansion just
+    # above the upper one are the weakest
+    lower = mlf_module.SERIES_SAFE_NATS
+    upper = mlf_module.ASYMPTOTIC_SAFE_NATS
+    for peak_nats, rel in [
+        (lower * (1.0 - 1e-9), 1e-8),
+        (lower * (1.0 + 1e-9), 5e-12),
+        (upper * (1.0 - 1e-9), 5e-12),
+        (upper * (1.0 + 1e-9), 1e-9),
+    ]:
+        z = _at_peak_nats(alpha, peak_nats)
+        assert mlf(alpha, alpha, z) == pytest.approx(
+            _mp_series(alpha, alpha, z), rel=rel, abs=0.0
+        ), peak_nats
+
+
+def test_gap_branch_uses_mpmath_only_at_integer_order(monkeypatch):
+    calls = []
+
+    def recorder(alpha, beta, z, peak_nats):
+        calls.append(alpha)
+        return 0.0
+
+    monkeypatch.setattr(mlf_module, "_mlf_series_mp", recorder)
+    for alpha in (0.2, 0.6, 0.999):
+        mlf(alpha, alpha, _at_peak_nats(alpha, 20.0))
+        mlf(alpha, 1.7, _at_peak_nats(alpha, 20.0))
+    assert calls == []
+    mlf(1.0, 2.0, -20.0)
+    assert calls == [1.0]
 
 
 def test_mlf_at_zero_is_reciprocal_gamma():
@@ -59,19 +139,19 @@ def test_half_order_equals_scaled_erfc():
     # E_{1/2,1}(-x) = exp(x**2) * erfc(x)
     for x in (0.3, 1.0, 2.0, 3.0, 5.0):
         expected = math.exp(x * x) * math.erfc(x)
-        assert mlf(0.5, 1.0, -x) == pytest.approx(expected, rel=1e-10)
+        assert mlf(0.5, 1.0, -x) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_integer_order_equals_exponential():
     for z in np.linspace(-50.0, 5.0, 23):
-        assert mlf(1.0, 1.0, float(z)) == pytest.approx(math.exp(z), rel=1e-13)
+        assert mlf(1.0, 1.0, float(z)) == pytest.approx(math.exp(z), rel=1e-13, abs=0.0)
 
 
 def test_integer_order_beta_two_closed_form():
     # E_{1,2}(z) = (exp(z) - 1) / z, including the deep asymptotic regime
     for z in (-50.0, -40.0, -10.0, -2.0, 0.5, 3.0):
         expected = (math.exp(z) - 1.0) / z
-        assert mlf(1.0, 2.0, z) == pytest.approx(expected, rel=1e-10)
+        assert mlf(1.0, 2.0, z) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 @settings(max_examples=80, deadline=None)
