@@ -81,6 +81,22 @@ OUT_ENV = "GRADOBS_OUT"
 
 
 _REQUIRED = object()
+CONFIG_KEYS = frozenset({
+    "alpha", "horizon", "dimension", "truncation", "gram_truncation",
+    "potential_truncation", "gram_kind", "weighting", "time_panels", "region",
+    "sensors", "noise", "hum", "initial",
+})
+HUM_KEYS = frozenset({"cg_tolerance", "max_iterations", "regularization"})
+NOISE_KEYS = frozenset({"sigma", "seed"})
+
+
+def _reject_unknown(config: dict, known: frozenset, where: str) -> None:
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown field(s) {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(sorted(known))}"
+        )
 
 
 def _require(config: dict, key: str, kind, where: str = "config",
@@ -222,6 +238,7 @@ class Experiment:
 
     def __init__(self, config: dict) -> None:
         self.config = config
+        _reject_unknown(config, CONFIG_KEYS, "config")
         self.alpha = _require(config, "alpha", float)
         self.horizon = _require(config, "horizon", float)
         self.dimension = _require(config, "dimension", int)
@@ -275,6 +292,7 @@ class Experiment:
             )
         )
         noise = _require(config, "noise", dict, default={})
+        _reject_unknown(noise, NOISE_KEYS, "config.noise")
         self.noise_sigma = _require(noise, "sigma", float, "config.noise", 0.0)
         if self.noise_sigma < 0.0:
             raise ConfigError("config.noise.sigma: must be >= 0")
@@ -290,6 +308,7 @@ class Experiment:
                 "config.hum.weighting: not read; set the top-level "
                 "'weighting' key instead"
             )
+        _reject_unknown(hum, HUM_KEYS, "config.hum")
         try:
             self.hum_config = HumConfig(
                 _require(hum, "cg_tolerance", float, "config.hum",

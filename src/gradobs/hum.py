@@ -122,6 +122,15 @@ class HumContext:
         c = self.d_matrix.T @ np.asarray(a, dtype=float)
         return self.kappa @ (c[:, None] * self.response)
 
+    def whitened_forward_matrix(self) -> np.ndarray:
+        """A of shape (p*K, Q) with Lambda = A^T A: column q is the output of
+        potential q scaled by the square root of the weighted quadrature."""
+        root = np.sqrt(self.quad_weights * self.weight_values)
+        return np.stack(
+            [(self.forward_channels(e) * root).ravel() for e in np.eye(self.size)],
+            axis=1,
+        )
+
     def data_functional(self, channels: np.ndarray) -> np.ndarray:
         """b_q = sum_i int w(t) channels_i(t) [output of potential q]_i(t) dt."""
         weighted = channels * (self.quad_weights * self.weight_values)[None, :]
@@ -203,15 +212,14 @@ def _smallest_ritz(alphas: list[float], betas: list[float]) -> float:
     return float(np.linalg.eigvalsh(t)[0])
 
 
-def solve(
-    record: ObservationRecord,
-    config: HumConfig,
-    context: HumContext,
-    true_gradient: VectorFieldSamples | None = None,
-) -> HumResult:
-    """Conjugate-gradient solution of (Lambda + eps I) a = b from a = 0."""
-    b = rhs_from_data(record, context)
-    eps = config.regularization
+def _conjugate_gradients(
+    b: np.ndarray, eps: float, config: HumConfig, context: HumContext
+) -> tuple[np.ndarray, int, float, bool, float]:
+    """CG for (Lambda + eps I) a = b from a = 0.
+
+    Returns the iterate, the iteration count, the relative residual, whether
+    it met the tolerance, and the smallest Ritz value.
+    """
     a = np.zeros(context.size)
     r = b.copy()
     p = r.copy()
@@ -243,20 +251,28 @@ def solve(
             break
         p = r + betas[-1] * p
     residual = float(np.sqrt(rr) / bnorm) if bnorm > 0.0 else 0.0
+    return a, iterations, residual, converged, _smallest_ritz(alphas, betas)
+
+
+def solve(
+    record: ObservationRecord,
+    config: HumConfig,
+    context: HumContext,
+    true_gradient: VectorFieldSamples | None = None,
+) -> HumResult:
+    """Conjugate-gradient solution of (Lambda + eps I) a = b from a = 0."""
+    b = rhs_from_data(record, context)
+    eps = config.regularization
+    a, iterations, residual, converged, ritz = _conjugate_gradients(
+        b, eps, config, context
+    )
     potential = PotentialVector(a)
     gradient = reconstruct_gradient(potential, context)
     rel = None
     if true_gradient is not None:
         rel = reconstruction_error(gradient, true_gradient)
     return HumResult(
-        potential,
-        gradient,
-        iterations,
-        residual,
-        converged,
-        _smallest_ritz(alphas, betas),
-        eps,
-        rel,
+        potential, gradient, iterations, residual, converged, ritz, eps, rel
     )
 
 
@@ -298,31 +314,50 @@ def discrepancy_regularization(
 
     The weighted output misfit int w ||z_model(a_eps) - z||^2 dt grows with
     eps; iid channel noise of standard deviation sigma carries expected
-    weighted energy sigma^2 * p * int w dt.  Returns the largest grid eps
-    whose misfit stays below factor^2 times that level (0 when even the
-    unregularized misfit exceeds it).
+    weighted energy sigma^2 * p * int w dt.  Scanning the positive grid eps
+    upward, returns the last one before the first whose misfit exceeds
+    factor^2 times that level (0 when the smallest already does).
+
+    One thin SVD A = U S V^T of the whitened forward matrix (Lambda = A^T A)
+    gives every grid misfit in closed form through the Tikhonov filter
+    factors: sum_k (eps / (s_k^2 + eps))^2 beta_k^2 + ||y - U beta||^2 with
+    beta = U^T y for the whitened channels y.  (The SVD is taken of A, not of
+    an assembled Lambda, whose smallest eigenvalues drown in rounding.)  That
+    locates the crossing; the two grid eps around it are then confirmed with
+    the misfit of the CG solution at `config`'s tolerance and budget, the
+    solution `solve` returns, stepping along the grid while the two disagree.
+    Near the noise level a CG misfit can sit on the other side of it than the
+    exact one, and the returned eps must hold for the solution callers get.
     """
     if noise_sigma < 0.0:
         raise DomainError("noise level must be >= 0")
     if noise_sigma == 0.0:
         return 0.0
+    b = rhs_from_data(record, context)
+    channels = _channels_on_mesh(record, context)
     wq = context.quad_weights * context.weight_values
     delta2 = factor**2 * noise_sigma**2 * len(context.suite) * float(np.sum(wq))
-    channels = _channels_on_mesh(record, context)
     lam_scale = float(np.max(np.abs(apply_lambda(np.ones(context.size), context))))
     lam_scale = max(lam_scale, 1e-300)
-    grid = [0.0] + [
+    grid = np.array([
         lam_scale * 10.0 ** (-EPS_GRID_DECADES + d / EPS_GRID_PER_DECADE)
         for d in range(EPS_GRID_DECADES * EPS_GRID_PER_DECADE + 1)
-    ]
-    best = 0.0
-    for eps in grid:
-        cfg = HumConfig(config.cg_tolerance, config.max_iterations, eps)
-        result = solve(record, cfg, context)
-        model = context.forward_channels(result.potential.coefficients)
-        misfit2 = float(np.sum(wq[None, :] * (model - channels) ** 2))
-        if misfit2 <= delta2:
-            best = eps
-        elif eps > 0.0:
-            break
-    return best
+    ])
+    y = (channels * np.sqrt(wq)).ravel()
+    u, s, _ = np.linalg.svd(context.whitened_forward_matrix(), full_matrices=False)
+    beta = u.T @ y
+    outside = float(np.sum((y - u @ beta) ** 2))
+    filtered = grid[:, None] / (s[None, :] ** 2 + grid[:, None])
+    above = np.flatnonzero((filtered**2) @ beta**2 + outside > delta2)
+    first = int(above[0]) if above.size else grid.size
+
+    def exceeds(i: int) -> bool:
+        a = _conjugate_gradients(b, float(grid[i]), config, context)[0]
+        model = context.forward_channels(a)
+        return float(np.sum(wq[None, :] * (model - channels) ** 2)) > delta2
+
+    while first < grid.size and not exceeds(first):
+        first += 1
+    while first > 0 and exceeds(first - 1):
+        first -= 1
+    return float(grid[first - 1]) if first > 0 else 0.0

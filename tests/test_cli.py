@@ -92,6 +92,9 @@ def _set(config, path, value):
         ("gram", ("gram_truncation",), 0, "gram_truncation"),
         ("gram", ("gram_kind",), "bogus", "gram_kind"),
         ("simulate", ("noise",), {"sigma": 1e-3}, "seed"),
+        ("simulate", ("horizn",), 1.0, "horizn"),
+        ("reconstruct", ("hum", "cg_tolerence"), 1e-10, "cg_tolerence"),
+        ("simulate", ("noise", "sigam"), 1e-3, "sigam"),
     ],
 )
 def test_config_mistakes_exit_2(tmp_path, capsys, command, path, value, field):

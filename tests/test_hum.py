@@ -6,9 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
+import gradobs.hum as hum_module
 from gradobs.errors import DomainError
 from gradobs.dynamics import ObservationRecord, simulate, time_grid
 from gradobs.hum import (
+    DISCREPANCY_FACTOR,
+    EPS_GRID_DECADES,
+    EPS_GRID_PER_DECADE,
     HumConfig,
     HumContext,
     PotentialVector,
@@ -221,3 +225,59 @@ def test_discrepancy_regularization_beats_unregularized_under_noise():
         )
         err_tuned = reconstruction_error(tuned.gradient, truth)
         assert err_tuned < 0.8 * err_plain
+
+
+def _cg_discrepancy_scan(record, config, ctx, sigma):
+    """The discrepancy rule by one CG solve per positive grid eps."""
+    wq = ctx.quad_weights * ctx.weight_values
+    level = DISCREPANCY_FACTOR**2 * sigma**2 * len(ctx.suite) * float(np.sum(wq))
+    scale = float(np.max(np.abs(apply_lambda(np.ones(ctx.size), ctx))))
+    best = 0.0
+    for d in range(EPS_GRID_DECADES * EPS_GRID_PER_DECADE + 1):
+        eps = scale * 10.0 ** (-EPS_GRID_DECADES + d / EPS_GRID_PER_DECADE)
+        cfg = HumConfig(config.cg_tolerance, config.max_iterations, eps)
+        model = ctx.forward_channels(solve(record, cfg, ctx).potential.coefficients)
+        if float(np.sum(wq * (model - record.channels) ** 2)) > level:
+            break
+        best = eps
+    return best
+
+
+def test_discrepancy_rule_matches_cg_scan(monkeypatch):
+    # the closed-form misfits land on the crossing, so CG confirms only the
+    # two grid eps around it
+    ctx = _context(5)
+    y0 = _state(ctx.basis, [((1, 1), 1.0), ((2, 3), 0.5)])
+    cfg = HumConfig(cg_tolerance=1e-12, max_iterations=400)
+    cg = hum_module._conjugate_gradients
+    for sigma in (1e-4, 1e-3, 1e-2):
+        for seed in range(3):
+            record = simulate(
+                y0, ctx.suite, 0.8, ctx.time_grid(),
+                noise_sigma=sigma, noise_seed=seed,
+            )
+            calls = []
+            monkeypatch.setattr(
+                hum_module, "_conjugate_gradients",
+                lambda *args: calls.append(args[1]) or cg(*args),
+            )
+            eps = discrepancy_regularization(record, cfg, ctx, sigma)
+            monkeypatch.undo()
+            assert len(calls) == 2
+            assert eps == _cg_discrepancy_scan(record, cfg, ctx, sigma), (sigma, seed)
+
+
+@pytest.mark.parametrize("truncation", [2, 3])
+def test_smallest_ritz_value_is_smallest_singular_value_squared(truncation):
+    # Lambda = A^T A, so the Lanczos estimate of a converged CG solve of
+    # (Lambda + eps I) a = b must reach sigma_min(A)^2 + eps
+    ctx = _context(truncation)
+    sigma_min = np.linalg.svd(ctx.whitened_forward_matrix(), compute_uv=False)[-1]
+    y0 = _state(ctx.basis, [((1, 1), 1.0), ((2, 2), -0.4)])
+    record = simulate(y0, ctx.suite, 0.8, ctx.time_grid())
+    for eps in (0.0, 1e-3 * sigma_min**2, sigma_min**2):
+        result = solve(record, HumConfig(cg_tolerance=1e-13, regularization=eps), ctx)
+        assert result.converged
+        assert result.smallest_ritz_value == pytest.approx(
+            sigma_min**2 + eps, rel=1e-8, abs=0.0
+        ), eps

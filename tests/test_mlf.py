@@ -178,6 +178,22 @@ def test_completely_monotone_on_negative_axis(alpha, x):
     assert v2 < v1
 
 
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.3, 0.99))
+def test_asymptotic_seam_continuity_property(alpha):
+    # the step mlf takes across the 34-nat seam must be the function's own
+    # change over that step (from the Laplace quadrature on both sides) to
+    # within the two per-side tolerances of test_branch_seams_against_mp_series
+    seam = mlf_module.ASYMPTOTIC_SAFE_NATS
+    below = _at_peak_nats(alpha, seam * (1.0 - 1e-9))
+    above = _at_peak_nats(alpha, seam * (1.0 + 1e-9))
+    step = mlf(alpha, alpha, above) - mlf(alpha, alpha, below)
+    change = mlf_module._mlf_laplace(alpha, alpha, above) - mlf_module._mlf_laplace(
+        alpha, alpha, below
+    )
+    assert abs(step - change) <= (5e-12 + 1e-9) * abs(mlf(alpha, alpha, below))
+
+
 def test_mlf_rejects_bad_arguments():
     with pytest.raises(DomainError):
         mlf(0.0, 1.0, -1.0)
