@@ -552,11 +552,13 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
         truncation=experiment.potential_truncation,
         weighting=experiment.weighting,
     )
+    truth = None
     if observations is not None:
         record = read_observations(observations, experiment.horizon)
     else:
+        truth = experiment.initial_state()
         record = simulate(
-            experiment.initial_state(),
+            truth,
             experiment.suite,
             experiment.alpha,
             context.time_grid(),
@@ -577,19 +579,17 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
         "regularization": result.regularization,
         "gradient_norm": result.gradient.norm,
     }
-    if experiment.initial_spec is not None and observations is None:
-        truth = experiment.initial_state()
+    if truth is not None:
         payload["relative_error"] = reconstruction_error(
             result.gradient, restrict_gradient(truth, experiment.region)
         )
         _write_gradient_grid(out_dir, "gradient_true.csv", truth, experiment.region)
+    _write_report(out_dir, "reconstruct", experiment.config, payload)
     if not result.converged:
-        _write_report(out_dir, "reconstruct", experiment.config, payload)
         raise ConvergenceError(
             f"conjugate gradients stopped at relative residual "
             f"{result.residual:.3e} after {result.iterations} iterations"
         )
-    _write_report(out_dir, "reconstruct", experiment.config, payload)
     return 0
 
 

@@ -31,7 +31,7 @@ from .dynamics import (
     response_matrix,
     time_weight,
 )
-from .sensing import SensorSuite, coupling_matrix, grad_coupling
+from .sensing import SensorSuite, coupling_matrix
 from .spectral import (
     Basis,
     Region,
@@ -107,18 +107,15 @@ class GramReport:
 
 
 def build_g_matrices(basis: Basis, suite: SensorSuite) -> GMatrixSet:
-    """Assemble every group's p x r_j matrix of gradient couplings per axis."""
-    mats = []
-    for group in basis.groups:
-        per_axis = []
-        for s in range(basis.dimension):
-            m = np.empty((len(suite), group.multiplicity))
-            for i, sensor in enumerate(suite.sensors):
-                for k, mode in enumerate(group.members):
-                    m[i, k] = grad_coupling(sensor, mode, s)
-            per_axis.append(m)
-        mats.append(tuple(per_axis))
-    return GMatrixSet(basis, suite, tuple(mats))
+    """Assemble every group's p x r_j matrix of gradient couplings per axis.
+
+    Basis.modes lists the groups in order, so each group's matrix is a column
+    slice of the per-axis coupling matrix.
+    """
+    bounds = np.cumsum([group.multiplicity for group in basis.groups])[:-1]
+    per_axis = [np.split(coupling_matrix(suite, basis, s), bounds, axis=1)
+                for s in range(basis.dimension)]
+    return GMatrixSet(basis, suite, tuple(zip(*per_axis)))
 
 
 def strategic_test_1d(gset: GMatrixSet) -> StrategicReport:
@@ -259,14 +256,10 @@ def gram_regional(
     r = overlap_matrix(test_basis, basis, region)
     n = basis.dimension
     q = len(test_basis)
+    grads = [coupling_matrix(suite, basis, s) for s in range(n)]
     gram = np.zeros((n * q, n * q))
-    for i, sensor in enumerate(suite.sensors):
-        rows = np.empty((n * q, len(basis)))
-        for s in range(n):
-            gs = np.array(
-                [grad_coupling(sensor, mode, s) for mode in basis.modes]
-            )
-            rows[s * q:(s + 1) * q] = r * gs[None, :]
+    for i in range(len(suite)):
+        rows = np.vstack([r * g[i][None, :] for g in grads])
         gram += rows @ v @ rows.T
     return _spectrum_report(COMPONENT, gram, test_modes, n)
 

@@ -3,8 +3,10 @@
 A sensor is a (support, spatial distribution) pair producing one output
 channel: zone sensors integrate the state against an L^2 distribution on a
 rectangle, pointwise sensors evaluate at a point, and filament sensors
-integrate along an axis-aligned segment.  The whole output map is linear in
-the state, so each sensor reduces to one coupling number per basis mode.
+integrate along an axis-aligned segment.  Each sensor is one linear
+functional on the state, realized as a weighted point set (a pointwise sensor
+is its location with weight 1), so it reduces to one coupling number per
+basis mode, or per mode and gradient axis.
 """
 
 from __future__ import annotations
@@ -111,54 +113,58 @@ class SensorSuite:
         return len(self.sensors)
 
 
-def _filament_points(fil: Filament, max_index: int) -> tuple[np.ndarray, np.ndarray]:
-    panels = max(MIN_PANELS, 2 * max_index)
-    s, w = _panel_rule(fil.interval[0], fil.interval[1], panels)
-    pts = np.empty((s.size, 2))
-    pts[:, fil.axis] = s
-    pts[:, 1 - fil.axis] = fil.fixed
-    return pts, w
-
-
-def _mode_values(sensor: Sensor, mode: Mode, deriv_axis: int | None) -> float:
-    """Shared quadrature for coupling / grad_coupling."""
-    if deriv_axis is not None and not (0 <= deriv_axis < mode.dimension):
-        raise DomainError(f"axis {deriv_axis} invalid in {mode.dimension}-D")
-
-    def mode_vals(pts: np.ndarray) -> np.ndarray:
-        if deriv_axis is None:
-            return mode.eval(pts)
-        return mode.grad(pts)[:, deriv_axis]
-
+def _weighted_points(sensor: Sensor, max_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sensor as points (N, dim) and weights (quadrature weight times
+    distribution), resolving modes with indices up to max_index."""
     if sensor.kind == POINTWISE:
-        pt = np.asarray(sensor.geometry, dtype=float)[None, :]
-        return float(mode_vals(pt)[0])
+        return np.asarray(sensor.geometry, dtype=float)[None, :], np.ones(1)
     if sensor.kind == ZONE:
-        grid = region_quadrature(sensor.geometry, mode.max_index)
-        f = np.asarray(sensor.distribution(grid.points), dtype=float)
-        return float(np.sum(grid.weights * f * mode_vals(grid.points)))
-    pts, w = _filament_points(sensor.geometry, mode.max_index)
-    f = np.asarray(sensor.distribution(pts), dtype=float)
-    return float(np.sum(w * f * mode_vals(pts)))
+        grid = region_quadrature(sensor.geometry, max_index)
+        pts, w = grid.points, grid.weights
+    else:
+        fil = sensor.geometry
+        s, w = _panel_rule(*fil.interval, max(MIN_PANELS, 2 * max_index))
+        pts = np.empty((s.size, 2))
+        pts[:, fil.axis] = s
+        pts[:, 1 - fil.axis] = fil.fixed
+    return pts, w * np.asarray(sensor.distribution(pts), dtype=float)
+
+
+def _coupling_row(
+    sensor: Sensor, modes: tuple[Mode, ...], axis: int | None
+) -> np.ndarray:
+    """Couplings of one sensor with each mode, or with d(mode)/dx_axis; the
+    weighted point set is built once per distinct mode.max_index."""
+    rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    row = np.empty(len(modes))
+    for j, mode in enumerate(modes):
+        if axis is not None and not (0 <= axis < mode.dimension):
+            raise DomainError(f"axis {axis} invalid in {mode.dimension}-D")
+        if mode.max_index not in rules:
+            rules[mode.max_index] = _weighted_points(sensor, mode.max_index)
+        pts, w = rules[mode.max_index]
+        vals = mode.eval(pts) if axis is None else mode.grad(pts)[:, axis]
+        row[j] = np.sum(w * vals)
+    return row
 
 
 def coupling(sensor: Sensor, mode: Mode) -> float:
     """Per-mode output factor (f, xi_mode) over the sensor support."""
-    return _mode_values(sensor, mode, None)
+    return float(_coupling_row(sensor, (mode,), None)[0])
 
 
 def grad_coupling(sensor: Sensor, mode: Mode, axis: int) -> float:
     """Same quadrature against d(xi_mode)/dx_axis (axis is 0-based)."""
-    return _mode_values(sensor, mode, axis)
+    return float(_coupling_row(sensor, (mode,), axis)[0])
 
 
-def coupling_matrix(suite: SensorSuite, basis: Basis) -> np.ndarray:
-    """kappa[i, j] = coupling(sensor_i, mode_j), in basis mode order."""
-    kappa = np.empty((len(suite), len(basis)))
-    for i, sensor in enumerate(suite.sensors):
-        for j, mode in enumerate(basis.modes):
-            kappa[i, j] = coupling(sensor, mode)
-    return kappa
+def coupling_matrix(
+    suite: SensorSuite, basis: Basis, axis: int | None = None
+) -> np.ndarray:
+    """kappa[i, j] = coupling(sensor_i, mode_j), in basis mode order; with an
+    axis, grad_coupling(sensor_i, mode_j, axis) instead."""
+    return np.array([_coupling_row(sensor, basis.modes, axis)
+                     for sensor in suite.sensors])
 
 
 def observe(state: SpectralField, suite: SensorSuite) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DomainError, SizeError
 
 NODES_PER_PANEL = 8
+PANEL_NODES, PANEL_WEIGHTS = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
 MIN_PANELS = 4
 MODE_CAP = 10_000
 GROUP_REL_TOL = 1e-9
@@ -198,12 +199,11 @@ def whole_domain(dimension: int) -> Region:
 
 def _panel_rule(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
-    x, w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
     edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    weights = (halves[:, None] * w[None, :]).ravel()
+    nodes = (mids[:, None] + halves[:, None] * PANEL_NODES[None, :]).ravel()
+    weights = (halves[:, None] * PANEL_WEIGHTS[None, :]).ravel()
     return nodes, weights
 
 

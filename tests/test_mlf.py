@@ -99,10 +99,13 @@ def test_gap_branch_against_mp_series(alpha):
 def test_branch_seams_against_mp_series(alpha):
     # each side is held to what its method meets: the double-precision
     # series just below the lower seam and the asymptotic expansion just
-    # above the upper one are the weakest
+    # above the upper one are the weakest; at peak 1 nat (z = -1) the series
+    # moves from its z >= -1 early return to the peak gate
     lower = mlf_module.SERIES_SAFE_NATS
     upper = mlf_module.ASYMPTOTIC_SAFE_NATS
     for peak_nats, rel in [
+        (1.0 - 1e-9, 1e-13),
+        (1.0 + 1e-9, 1e-13),
         (lower * (1.0 - 1e-9), 1e-8),
         (lower * (1.0 + 1e-9), 5e-12),
         (upper * (1.0 - 1e-9), 5e-12),

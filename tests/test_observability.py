@@ -17,13 +17,19 @@ from gradobs.observability import (
     gram_regional,
     kernel_test,
     output_energy,
+    overlap_matrix,
+    response_kernel_matrix,
     strategic_test_1d,
 )
 from gradobs.sensing import (
+    FILAMENT,
     POINTWISE,
+    ZONE,
+    Filament,
     Sensor,
     SensorSuite,
     counterexample_sensor,
+    grad_coupling,
 )
 from gradobs.spectral import (
     Region,
@@ -85,6 +91,41 @@ def test_strategic_rank_form_is_one_dimensional_only():
     gset = build_g_matrices(basis, _pointwise_suite((0.3, 0.4)))
     with pytest.raises(DomainError):
         strategic_test_1d(gset)
+
+
+def test_gradient_couplings_match_per_element_assembly():
+    basis = build_basis(2, 4)
+    suite = SensorSuite((
+        Sensor(ZONE, Region((((0.1, 0.6), (0.3, 0.8)),)),
+               lambda pts: 1.0 + pts[:, 0] * pts[:, 1]),
+        Sensor(FILAMENT, Filament(axis=1, interval=(0.1, 0.9), fixed=0.3),
+               lambda pts: np.sin(np.pi * pts[:, 1])),
+        Sensor(POINTWISE, (0.41, 0.73)),
+    ))
+    gset = build_g_matrices(basis, suite)
+    assert len(gset.matrices) == len(basis.groups)
+    for group, per_axis in zip(basis.groups, gset.matrices):
+        for s, m in enumerate(per_axis):
+            expected = [[grad_coupling(sensor, mode, s) for mode in group.members]
+                        for sensor in suite.sensors]
+            assert np.array_equal(m, np.array(expected))
+    # component Gramian: sum over sensors of rows V rows^T, with row block s
+    # the overlaps R scaled by the sensor's axis-s gradient couplings
+    region = Region((((0.0, 1.0), (0.0, 0.5)),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        report = gram_regional(basis, suite, 0.7, 1.0, region, truncation=3,
+                               kind=COMPONENT)
+    r = overlap_matrix(build_basis(2, 3), basis, region)
+    v = response_kernel_matrix(0.7, basis.eigenvalues, 1.0, "none")
+    gram = np.zeros((2 * len(r), 2 * len(r)))
+    for sensor in suite.sensors:
+        rows = np.vstack([
+            r * np.array([grad_coupling(sensor, mode, s) for mode in basis.modes])
+            for s in range(2)
+        ])
+        gram += rows @ v @ rows.T
+    assert np.array_equal(report.matrix, 0.5 * (gram + gram.T))
 
 
 def test_component_gram_diagonalizes_at_full_domain():

@@ -91,6 +91,28 @@ def test_coupling_matrix_consistency():
     for i, sensor in enumerate(suite.sensors):
         for j, mode in enumerate(basis.modes):
             assert kappa[i, j] == coupling(sensor, mode)
+    # every sensor kind, values and both gradient axes, entry by entry
+    x = np.linspace(0.0, 1.0, 6)
+    basis = build_basis(2, 4)
+    suite = SensorSuite((
+        Sensor(ZONE, Region((((0.1, 0.4), (0.2, 0.7)),)),
+               lambda pts: np.sin(2.0 * pts[:, 0]) + pts[:, 1]),
+        Sensor(ZONE, Region((((0.5, 0.9), (0.0, 0.3)), ((0.5, 0.9), (0.6, 1.0)))),
+               BilinearTable(x, x, 1.0 + np.outer(x, x**2))),
+        Sensor(FILAMENT, Filament(axis=0, interval=(0.2, 0.8), fixed=0.35),
+               lambda pts: np.cos(np.pi * pts[:, 0])),
+        Sensor(POINTWISE, (0.62, 0.27)),
+    ))
+    kappa = coupling_matrix(suite, basis)
+    grads = [coupling_matrix(suite, basis, s) for s in range(2)]
+    for i, sensor in enumerate(suite.sensors):
+        for j, mode in enumerate(basis.modes):
+            assert kappa[i, j] == coupling(sensor, mode)
+            for s in range(2):
+                assert grads[s][i, j] == grad_coupling(sensor, mode, s)
+    for axis in (-1, 2):
+        with pytest.raises(DomainError):
+            coupling_matrix(suite, basis, axis)
 
 
 def test_bilinear_table_reproduces_bilinear_function():
