@@ -393,24 +393,39 @@ def _write_observations(out_dir: str, record: ObservationRecord) -> str:
 
 
 def read_observations(path: str, horizon: float) -> ObservationRecord:
-    with open(path) as handle:
-        header = handle.readline().strip().split(",")
-        if not header or header[0] != "t":
-            raise ConfigError(f"{path}: expected header starting with 't'")
-        rows = [
-            [float(v) for v in line.strip().split(",")]
-            for line in handle
-            if line.strip()
-        ]
+    """Channels from a `t,z_1..z_p` CSV, times increasing in (0, horizon];
+    a fault is a ConfigError naming the file and, if there is one, the line."""
+    try:
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read observations {path}: {exc}") from exc
+    if not lines or lines[0].strip().split(",")[0] != "t":
+        raise ConfigError(f"{path}: expected header starting with 't'")
+    width = len(lines[0].split(","))
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        previous = rows[-1][0] if rows else 0.0
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"{path}, line {number}: {exc}") from exc
+        if len(row) != width or not all(map(math.isfinite, row)) \
+                or not previous < row[0] <= horizon:
+            raise ConfigError(
+                f"{path}, line {number}: expected {width} finite numbers, "
+                f"the time in ({previous!r}, {horizon!r}]"
+            )
+        rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: no observation rows")
     data = np.asarray(rows)
     nodes = data[:, 0]
-    # Trapezoid-style weights; downstream functionals re-interpolate onto
-    # their own quadrature mesh, so these only need to be positive.
-    weights = np.maximum(np.gradient(nodes), 1e-300)
-    weights *= horizon / float(np.sum(weights))
-    grid = TimeGrid(horizon, nodes, weights)
+    # the weights feed nothing: reconstruction re-samples the channels onto
+    # its own mesh, so uniform ones only satisfy TimeGrid's contract
+    grid = TimeGrid(horizon, nodes, np.full(nodes.size, horizon / nodes.size))
     return ObservationRecord(grid, data[:, 1:].T)
 
 
@@ -555,6 +570,11 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
     truth = None
     if observations is not None:
         record = read_observations(observations, experiment.horizon)
+        if record.channels.shape[0] != len(experiment.suite):
+            raise ConfigError(
+                f"{observations}: {record.channels.shape[0]} channels, but the "
+                f"config has {len(experiment.suite)} sensors"
+            )
     else:
         truth = experiment.initial_state()
         record = simulate(

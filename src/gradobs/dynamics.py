@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .mlf import mlf
 from .sensing import SensorSuite, coupling_matrix
-from .spectral import SpectralField, _panel_rule
+from .spectral import SpectralField, gauss_panels
 
 TIME_PANELS = 32
 WEIGHTING_NONE = "none"
@@ -36,16 +36,6 @@ def _graded_edges(lo: float, hi: float, panels: int, q: float) -> np.ndarray:
     """Panel edges accumulating toward `lo` with grading exponent q."""
     u = np.linspace(0.0, 1.0, panels + 1)
     return lo + (hi - lo) * u**q
-
-
-def _composite_on_edges(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = _panel_rule(a, b, 1)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 @dataclass(frozen=True)
@@ -76,8 +66,7 @@ def time_grid(alpha: float, horizon: float, panels: int = TIME_PANELS) -> TimeGr
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"fractional order must be in (0, 1], got {alpha}")
     edges = _graded_edges(0.0, horizon, panels, grading_exponent(alpha))
-    nodes, weights = _composite_on_edges(edges)
-    return TimeGrid(horizon, nodes, weights)
+    return TimeGrid(horizon, *gauss_panels(edges))
 
 
 @dataclass(frozen=True)
@@ -162,15 +151,6 @@ def _check_weighting(alpha: float, weighting: str) -> None:
         )
 
 
-def _double_graded_mesh(b: float, q: float, panels: int = TIME_PANELS
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Mesh on (0,b) graded toward both endpoints."""
-    half = panels // 2
-    left = _graded_edges(0.0, 0.5 * b, half, q)
-    right = b - _graded_edges(0.0, 0.5 * b, half, q)[::-1]
-    return _composite_on_edges(np.concatenate([left, right[1:]]))
-
-
 POINT_KERNEL_PANELS = 48
 
 
@@ -182,8 +162,7 @@ def _point_kernel_mesh(lo: float, hi: float, alpha: float
     against the algebraic singularity; panel products stay finite in double
     precision because weights shrink as fast as the integrand grows.
     """
-    edges = _graded_edges(lo, hi, POINT_KERNEL_PANELS, 17.0 / alpha)
-    return _composite_on_edges(edges)
+    return gauss_panels(_graded_edges(lo, hi, POINT_KERNEL_PANELS, 17.0 / alpha))
 
 
 def duhamel_weight(
@@ -239,8 +218,10 @@ def response_gram_weight(
 
 
 def gram_time_mesh(alpha: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """The doubly graded mesh shared by Gram assembly and data functionals."""
-    return _double_graded_mesh(b, grading_exponent(alpha))
+    """The mesh on (0, b) graded toward both endpoints, shared by Gram
+    assembly and data functionals: the left half's edges mirrored about b/2."""
+    left = _graded_edges(0.0, 0.5 * b, TIME_PANELS // 2, grading_exponent(alpha))
+    return gauss_panels(np.concatenate([left, b - left[-2::-1]]))
 
 
 def time_weight(alpha: float, nodes: np.ndarray, weighting: str) -> np.ndarray:

@@ -42,6 +42,7 @@ from .spectral import (
 from .observability import grad_overlap_matrix
 
 DISCREPANCY_FACTOR = 1.05
+LAGRANGE_POINTS = 8
 EPS_GRID_DECADES = 14
 EPS_GRID_PER_DECADE = 4
 
@@ -167,25 +168,36 @@ def apply_lambda(a: PotentialVector | np.ndarray, context: HumContext) -> np.nda
 def _channels_on_mesh(record: ObservationRecord, context: HumContext) -> np.ndarray:
     """The record's channels on the context mesh.
 
-    Channels sampled on a grid other than the context mesh are linearly
-    interpolated onto it (with a warning when the observation grid is the
-    coarser of the two).
+    Off the mesh, the regular part t**(1-alpha) z_i(t) of each channel, a
+    smooth function of s = t**alpha, is interpolated in s by degree-7
+    Lagrange on the 8 consecutive record nodes nearest each mesh node (all
+    of them if fewer), then multiplied by t**(alpha-1); a coarser record
+    grid warns.  The discrepancy rule assumes iid noise only on the mesh.
     """
     nodes = record.grid.nodes
-    if nodes.size == context.time_nodes.size and np.allclose(
-        nodes, context.time_nodes, rtol=0.0, atol=1e-14
-    ):
+    mesh = context.time_nodes
+    if nodes.size == mesh.size and np.allclose(nodes, mesh, rtol=0.0, atol=1e-14):
         return record.channels
-    if nodes.size < context.time_nodes.size:
+    if nodes.size < mesh.size:
         warnings.warn(
             f"observation grid ({nodes.size} nodes) is coarser than the "
-            f"quadrature mesh ({context.time_nodes.size}); interpolating",
+            f"quadrature mesh ({mesh.size}); interpolating",
             UserWarning,
             stacklevel=3,
         )
-    return np.stack(
-        [np.interp(context.time_nodes, nodes, ch) for ch in record.channels]
-    )
+    alpha = context.alpha
+    s, s_mesh = nodes**alpha, mesh**alpha
+    n = min(LAGRANGE_POINTS, nodes.size)
+    start = np.clip(np.searchsorted(s, s_mesh) - n // 2, 0, nodes.size - n)
+    window = start[:, None] + np.arange(n)  # (K, n) record indices per mesh node
+    x = s[window]
+    # Lagrange basis L[k, j] = prod_{l != j} (s_k - x_l) / (x_j - x_l)
+    off = ~np.eye(n, dtype=bool)
+    numer = np.where(off, s_mesh[:, None, None] - x[:, None, :], 1.0)
+    denom = np.where(off, x[:, :, None] - x[:, None, :], 1.0)
+    lagrange = np.prod(numer / denom, axis=2)
+    regular = record.channels * nodes ** (1.0 - alpha)
+    return np.einsum("kj,pkj->pk", lagrange, regular[:, window]) * mesh ** (alpha - 1.0)
 
 
 def rhs_from_data(record: ObservationRecord, context: HumContext) -> np.ndarray:
@@ -308,15 +320,15 @@ def discrepancy_regularization(
     config: HumConfig,
     context: HumContext,
     noise_sigma: float,
-    factor: float = DISCREPANCY_FACTOR,
 ) -> float:
     """Pick eps by the discrepancy principle in the output space.
 
     The weighted output misfit int w ||z_model(a_eps) - z||^2 dt grows with
-    eps; iid channel noise of standard deviation sigma carries expected
-    weighted energy sigma^2 * p * int w dt.  Scanning the positive grid eps
-    upward, returns the last one before the first whose misfit exceeds
-    factor^2 times that level (0 when the smallest already does).
+    eps; iid channel noise on the context mesh, of standard deviation sigma,
+    carries expected weighted energy sigma^2 * p * int w dt.  Scanning the
+    positive grid eps upward, returns the last one before the first whose
+    misfit exceeds DISCREPANCY_FACTOR^2 times that level (0 when the smallest
+    already does).
 
     One thin SVD A = U S V^T of the whitened forward matrix (Lambda = A^T A)
     gives every grid misfit in closed form through the Tikhonov filter
@@ -336,7 +348,8 @@ def discrepancy_regularization(
     b = rhs_from_data(record, context)
     channels = _channels_on_mesh(record, context)
     wq = context.quad_weights * context.weight_values
-    delta2 = factor**2 * noise_sigma**2 * len(context.suite) * float(np.sum(wq))
+    delta2 = DISCREPANCY_FACTOR**2 * noise_sigma**2 * len(context.suite) \
+        * float(np.sum(wq))
     lam_scale = float(np.max(np.abs(apply_lambda(np.ones(context.size), context))))
     lam_scale = max(lam_scale, 1e-300)
     grid = np.array([

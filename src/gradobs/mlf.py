@@ -30,6 +30,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import AccuracyError, DomainError
+from .spectral import gauss_panels
 
 Z_MAX = 5.0
 SERIES_SAFE_NATS = 9.0
@@ -134,14 +135,6 @@ def _sin_pi(t: float) -> float:
     return -s if n % 2 else s
 
 
-def _gauss_panels(edges: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite Gauss-Legendre rule on the edges."""
-    edges = np.unique(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (mid + half * LAPLACE_NODES).ravel(), (half * LAPLACE_WEIGHTS).ravel()
-
-
 def _laplace_integral(alpha: float, beta: float, x: float) -> float:
     """E_{alpha,beta}(-x) for 0 < alpha < 1, 0 < beta <= 1 and x > 0.
 
@@ -177,14 +170,12 @@ def _laplace_integral(alpha: float, beta: float, x: float) -> float:
         while step < LAPLACE_R_EDGES[-1]:
             dip_offsets += [-step, step]
             step *= LAPLACE_DIP_RATIO
-    v, v_weights = _gauss_panels(
-        list(LAPLACE_V_EDGES)
-        + [(r_star + u) ** gamma for u in dip_offsets if 0.0 < r_star + u < 1.0]
-    )
-    u, u_weights = _gauss_panels(
-        [r - r_star for r in LAPLACE_R_EDGES]
-        + [u for u in dip_offsets if 1.0 < r_star + u < LAPLACE_R_EDGES[-1]]
-    )
+    v_edges = list(LAPLACE_V_EDGES) + [
+        (r_star + u) ** gamma for u in dip_offsets if 0.0 < r_star + u < 1.0]
+    u_edges = [r - r_star for r in LAPLACE_R_EDGES] + [
+        u for u in dip_offsets if 1.0 < r_star + u < LAPLACE_R_EDGES[-1]]
+    v, v_weights = gauss_panels(np.unique(v_edges), LAPLACE_NODES, LAPLACE_WEIGHTS)
+    u, u_weights = gauss_panels(np.unique(u_edges), LAPLACE_NODES, LAPLACE_WEIGHTS)
     log_v = np.log(v)
     r_a_lo = np.exp(log_v * (alpha / gamma))
     r_hi = r_star + u
@@ -477,13 +468,9 @@ def moment_check(alpha: float, nu: float) -> float:
         cut += 1.0
 
     def quad(panels: int) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(8)
-        edges = np.linspace(0.0, cut, panels + 1)
         total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            for x, w in zip(nodes, weights):
-                total += half * w * integrand(mid + half * x)
+        for x, w in zip(*gauss_panels(np.linspace(0.0, cut, panels + 1))):
+            total += w * integrand(x)
         return total
 
     coarse = quad(10)

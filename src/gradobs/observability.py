@@ -95,7 +95,6 @@ class GramReport:
     eigenvalues: np.ndarray
     positive_definite: bool
     test_modes: tuple[tuple[int, ...], ...]
-    axes: int
 
     @property
     def smallest_eigenvalue(self) -> float:
@@ -204,9 +203,7 @@ def grad_overlap_matrix(test_basis: Basis, basis: Basis, region: Region) -> np.n
     return out
 
 
-def _spectrum_report(
-    kind: str, gram: np.ndarray, test_modes, axes: int
-) -> GramReport:
+def _spectrum_report(kind: str, gram: np.ndarray, test_modes) -> GramReport:
     gram = 0.5 * (gram + gram.T)
     eigenvalues = np.linalg.eigvalsh(gram)
     largest = float(eigenvalues[-1])
@@ -219,7 +216,7 @@ def _spectrum_report(
             ConditioningWarning,
             stacklevel=3,
         )
-    return GramReport(kind, gram, eigenvalues, pd, tuple(test_modes), axes)
+    return GramReport(kind, gram, eigenvalues, pd, tuple(test_modes))
 
 
 def gram_regional(
@@ -250,7 +247,7 @@ def gram_regional(
         d = grad_overlap_matrix(test_basis, basis, region)
         kappa = coupling_matrix(suite, basis)
         mmat = v * (kappa.T @ kappa)
-        return _spectrum_report(kind, d @ mmat @ d.T, test_modes, basis.dimension)
+        return _spectrum_report(kind, d @ mmat @ d.T, test_modes)
     if kind != COMPONENT:
         raise DomainError(f"unknown Gramian kind {kind!r}")
     r = overlap_matrix(test_basis, basis, region)
@@ -261,7 +258,7 @@ def gram_regional(
     for i in range(len(suite)):
         rows = np.vstack([r * g[i][None, :] for g in grads])
         gram += rows @ v @ rows.T
-    return _spectrum_report(COMPONENT, gram, test_modes, n)
+    return _spectrum_report(COMPONENT, gram, test_modes)
 
 
 def output_energy(

@@ -17,12 +17,11 @@ import numpy as np
 
 from .errors import DomainError
 from .spectral import (
-    MIN_PANELS,
     Basis,
     Mode,
     Region,
     SpectralField,
-    _panel_rule,
+    interval_rule,
     region_quadrature,
 )
 
@@ -123,7 +122,7 @@ def _weighted_points(sensor: Sensor, max_index: int) -> tuple[np.ndarray, np.nda
         pts, w = grid.points, grid.weights
     else:
         fil = sensor.geometry
-        s, w = _panel_rule(*fil.interval, max(MIN_PANELS, 2 * max_index))
+        s, w = interval_rule(*fil.interval, max_index)
         pts = np.empty((s.size, 2))
         pts[:, fil.axis] = s
         pts[:, 1 - fil.axis] = fil.fixed

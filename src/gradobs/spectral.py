@@ -6,13 +6,15 @@ gradient / adjoint-gradient pair is realized spectrally: the coefficient of
 grad_adjoint(g) on a mode equals sum_s int g_s * d(xi)/dx_s, which is the weak
 form of -div(g) with the zero Dirichlet boundary.
 
-Quadrature everywhere is composite tensor Gauss-Legendre with 8 nodes per
-panel and at least max(4, 2*max_index) panels per axis, which resolves the
-most oscillatory basis integrand with >= 4 nodes per half-wave.
+Every quadrature in gradobs is the composite Gauss-Legendre rule
+`gauss_panels`; callers only choose its panel edges.  In space it has 8 nodes
+per panel and max(4, 2*max_index) panels per axis (`interval_rule`), which
+resolves the most oscillatory basis integrand with >= 4 nodes per half-wave.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -197,14 +199,18 @@ def whole_domain(dimension: int) -> Region:
     return Region((((0.0, 1.0),) * dimension,))
 
 
-def _panel_rule(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [lo, hi]."""
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halves[:, None] * PANEL_NODES[None, :]).ravel()
-    weights = (halves[:, None] * PANEL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+def gauss_panels(edges: np.ndarray, nodes: np.ndarray = PANEL_NODES,
+                 weights: np.ndarray = PANEL_WEIGHTS) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes/weights on the panels between sorted
+    edges (an ndarray), one reference rule per panel."""
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * nodes).ravel(), (half * weights).ravel()
+
+
+def interval_rule(lo: float, hi: float, max_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform panels on [lo, hi] resolving modes with indices up to max_index."""
+    return gauss_panels(np.linspace(lo, hi, max(MIN_PANELS, 2 * max_index) + 1))
 
 
 @dataclass(frozen=True)
@@ -218,22 +224,13 @@ class QuadratureGrid:
 
 def region_quadrature(region: Region, max_index: int) -> QuadratureGrid:
     """Quadrature resolving modes with indices up to max_index."""
-    panels = max(MIN_PANELS, 2 * max_index)
     pts_parts = []
     w_parts = []
     for rect in region.rectangles:
-        axes = [_panel_rule(lo, hi, panels) for lo, hi in rect]
-        if len(axes) == 1:
-            pts = axes[0][0][:, None]
-            wts = axes[0][1]
-        else:
-            (x1, w1), (x2, w2) = axes
-            pts = np.column_stack(
-                [np.repeat(x1, x2.size), np.tile(x2, x1.size)]
-            )
-            wts = (w1[:, None] * w2[None, :]).ravel()
-        pts_parts.append(pts)
-        w_parts.append(wts)
+        xs, ws = zip(*(interval_rule(lo, hi, max_index) for lo, hi in rect))
+        pts = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1)
+        pts_parts.append(pts.reshape(-1, len(xs)))
+        w_parts.append(functools.reduce(np.multiply.outer, ws).ravel())
     return QuadratureGrid(
         region, np.vstack(pts_parts), np.concatenate(w_parts)
     )

@@ -183,6 +183,7 @@ def test_observation_roundtrip(tmp_path, capsys):
 def test_reconstruct_roundtrip_through_csv(tmp_path, capsys):
     sim_dir = tmp_path / "sim"
     rec_dir = tmp_path / "rec"
+    inline_dir = tmp_path / "inline"
     assert main(["simulate", "--preset", "hum-synthetic", "--out", str(sim_dir)]) == 0
     code = main(
         ["reconstruct", "--preset", "hum-synthetic",
@@ -193,6 +194,44 @@ def test_reconstruct_roundtrip_through_csv(tmp_path, capsys):
     assert (rec_dir / "gradient.csv").exists()
     report = json.loads((rec_dir / "report.json").read_text())
     assert report["payload"]["converged"] is True
+    # the CSV lies on the simulation grid, not the reconstruction mesh: the
+    # interpolation in t**alpha must keep the inline answer
+    assert main(["reconstruct", "--preset", "hum-synthetic",
+                 "--out", str(inline_dir)]) == 0
+    inline = json.loads((inline_dir / "report.json").read_text())
+    got = np.asarray(report["payload"]["state_coefficients"])
+    want = np.asarray(inline["payload"]["state_coefficients"])
+    assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+def _malformed(lines):
+    return lambda path: path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: None,  # missing file
+        _malformed(["t,z_1,z_2,z_3", "0.1,1.0,abc,3.0"]),
+        _malformed(["t,z_1,z_2,z_3", "0.1,1.0,2.0,3.0", "0.2,1.0,2.0"]),
+        _malformed(["t,z_1,z_2,z_3", "0.2,1.0,2.0,3.0", "0.1,1.0,2.0,3.0"]),
+        _malformed(["t,z_1,z_2,z_3", "0.0,1.0,2.0,3.0", "0.1,1.0,2.0,3.0"]),
+        _malformed(["t,z_1,z_2,z_3", "0.5,1.0,2.0,3.0", "1.5,1.0,2.0,3.0"]),
+        _malformed(["t,z_1,z_2", "0.1,1.0,2.0", "0.2,1.0,2.0"]),
+    ],
+    ids=["missing", "non-numeric", "field-count", "not-increasing",
+         "nonpositive-time", "beyond-horizon", "channel-count"],
+)
+def test_malformed_observations_exit_2(tmp_path, capsys, write):
+    # hum-synthetic has three sensors and horizon 1
+    path = tmp_path / "observations.csv"
+    write(path)
+    code = main(["reconstruct", "--preset", "hum-synthetic",
+                 "--observations", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert str(path) in err
 
 
 def test_reconstruct_inline_reports_relative_error(tmp_path, capsys):

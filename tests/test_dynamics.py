@@ -18,6 +18,7 @@ from gradobs.dynamics import (
     WEIGHTING_COMPENSATED,
     WEIGHTING_NONE,
     duhamel_weight,
+    gram_time_mesh,
     response_gram_weight,
     response_matrix,
     simulate,
@@ -60,6 +61,14 @@ def test_time_grid_properties():
         time_grid(1.2, 1.0)
     with pytest.raises(DomainError):
         time_grid(0.5, -1.0)
+
+
+@pytest.mark.parametrize("alpha,b", [(0.3, 1.0), (0.75, 2.5), (1.0, 0.4)])
+def test_gram_time_mesh_is_mirror_symmetric(alpha, b):
+    nodes, weights = gram_time_mesh(alpha, b)
+    assert np.allclose(nodes, b - nodes[::-1], rtol=0.0, atol=1e-14 * b)
+    assert np.allclose(weights, weights[::-1], rtol=0.0, atol=1e-14 * b)
+    assert float(np.sum(weights)) == pytest.approx(b, rel=1e-13)
 
 
 def test_time_grid_rejects_inconsistent_weights():

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from gradobs.errors import DomainError, SizeError
+from gradobs.mlf import LAPLACE_NODES, LAPLACE_WEIGHTS
 from gradobs.spectral import (
     Basis,
     Region,
     SpectralField,
     VectorFieldSamples,
     build_basis,
+    gauss_panels,
     grad_adjoint,
     region_quadrature,
     restrict,
@@ -117,6 +119,21 @@ def test_region_quadrature_weights_sum_to_measure():
     grid = region_quadrature(region, 4)
     assert float(np.sum(grid.weights)) == pytest.approx(region.measure, rel=1e-13)
     assert bool(np.all(region.contains(grid.points)))
+
+
+@pytest.mark.parametrize(
+    "rule,degree",
+    [((), 15), ((LAPLACE_NODES, LAPLACE_WEIGHTS), 47)],
+    ids=["8-node", "24-node"],
+)
+def test_gauss_panels_exact_on_graded_edges(rule, degree):
+    # uneven panels graded toward the left end of [0.25, 1.75]
+    edges = 0.25 + 1.5 * np.linspace(0.0, 1.0, 8) ** 3
+    nodes, weights = gauss_panels(edges, *rule)
+    assert float(np.sum(weights)) == pytest.approx(1.5, rel=1e-14)
+    for k in range(degree + 1):
+        exact = (1.75 ** (k + 1) - 0.25 ** (k + 1)) / (k + 1)
+        assert float(np.sum(weights * nodes**k)) == pytest.approx(exact, rel=1e-13)
 
 
 def test_parseval_identity():
