@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import partial
 
 import numpy as np
 
@@ -81,127 +82,173 @@ OUT_ENV = "GRADOBS_OUT"
 
 
 _REQUIRED = object()
-CONFIG_KEYS = frozenset({
-    "alpha", "horizon", "dimension", "truncation", "gram_truncation",
-    "potential_truncation", "gram_kind", "weighting", "time_panels", "region",
-    "sensors", "noise", "hum", "initial",
-})
-HUM_KEYS = frozenset({"cg_tolerance", "max_iterations", "regularization"})
-NOISE_KEYS = frozenset({"sigma", "seed"})
 
 
-def _reject_unknown(config: dict, known: frozenset, where: str) -> None:
-    unknown = sorted(set(config) - known)
-    if unknown:
-        raise ConfigError(
-            f"{where}: unknown field(s) {', '.join(map(repr, unknown))}; "
-            f"known: {', '.join(sorted(known))}"
-        )
-
-
-def _require(config: dict, key: str, kind, where: str = "config",
-             default=_REQUIRED):
-    """Typed read of config[key]; an absent or null field takes `default`."""
-    if config.get(key) is None and default is not _REQUIRED:
-        return default
-    if key not in config:
-        raise ConfigError(f"{where}: missing field {key!r}")
-    value = config[key]
+def _parse(kind, value, where: str, top: dict):
+    """`value` as `kind`: float (any finite number), another JSON type, or a
+    parser(value, where, top)."""
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-        return float(value)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(
-            f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}"
-        )
+        if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and math.isfinite(value):
+            return float(value)
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    if not isinstance(kind, type):
+        return kind(value, where, top)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
     return value
 
 
-def _region_from_spec(spec, dimension: int) -> Region:
-    if spec is None:
-        return whole_domain(dimension)
-    if not isinstance(spec, list) or not spec:
-        raise ConfigError("config.region: expected null or a list of rectangles")
-    rects = []
-    for r, rect in enumerate(spec):
-        if not isinstance(rect, list) or len(rect) != dimension:
-            raise ConfigError(
-                f"config.region[{r}]: expected {dimension} [lo, hi] pairs"
-            )
-        try:
-            rects.append(tuple((float(lo), float(hi)) for lo, hi in rect))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.region[{r}]: {exc}") from exc
-    try:
-        return Region(tuple(rects))
-    except DomainError as exc:
-        raise ConfigError(f"config.region: {exc}") from exc
+def _read(spec, schema: dict, where: str, top: dict | None = None) -> dict:
+    """The fields of the JSON object `spec` at dotted path `where`.
 
-
-def _distribution_from_spec(spec: dict, where: str):
-    kind = _require(spec, "type", str, where)
-    if kind == "constant":
-        value = _require(spec, "value", float, where)
-        return lambda pts: np.full(pts.shape[0], value)
-    if kind == "sine":
-        freq = _require(spec, "freq", list, where)
-        freqs = [float(f) for f in freq]
-
-        def dist(pts: np.ndarray, freqs=tuple(freqs)) -> np.ndarray:
-            out = np.ones(pts.shape[0])
-            for axis, f in enumerate(freqs):
-                if f != 0.0:
-                    out = out * np.sin(f * np.pi * pts[:, axis])
-            return out
-
-        return dist
-    if kind == "cosine":
-        coeffs = [float(c) for c in _require(spec, "coefficients", list, where)]
-
-        def dist(pts: np.ndarray, coeffs=tuple(coeffs)) -> np.ndarray:
-            out = np.zeros(pts.shape[0])
-            for k, c in enumerate(coeffs, start=1):
-                out += c * np.cos(k * np.pi * pts[:, 0])
-            return out
-
-        return dist
-    if kind == "table":
-        return BilinearTable(
-            np.asarray(_require(spec, "x1", list, where), dtype=float),
-            np.asarray(_require(spec, "x2", list, where), dtype=float),
-            np.asarray(_require(spec, "values", list, where), dtype=float),
+    `schema` maps each key to (kind, default, check), with kind as in
+    `_parse`.  An absent or null key takes the default; a callable default
+    is called with `top`, the top-level fields read so far.  A check is
+    (predicate(value, top), text) and a value that fails it "must be" the
+    text, formatted with `top`.  Unknown keys are rejected.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where}: expected an object, got {spec!r}")
+    unknown = sorted(set(spec) - set(schema))
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown field(s) {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(sorted(schema))}"
         )
-    raise ConfigError(f"{where}.type: unknown distribution type {kind!r}")
+    fields: dict = {}
+    top = fields if top is None else top
+    for key, (kind, default, check) in schema.items():
+        path = f"{where}.{key}"
+        if spec.get(key) is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"{where}: missing field {key!r}")
+            fields[key] = default(top) if callable(default) else default
+            continue
+        fields[key] = value = _parse(kind, spec[key], path, top)
+        if check is not None and not check[0](value, top):
+            raise ConfigError(
+                f"{path}: must be {check[1].format(**top)}, got {value!r}"
+            )
+    return fields
 
 
-def _sensor_from_spec(spec: dict, dimension: int, index: int) -> Sensor:
-    where = f"config.sensors[{index}]"
-    kind = _require(spec, "kind", str, where)
+def _build(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), a model DomainError becoming a ConfigError."""
     try:
-        if kind == POINTWISE:
-            location = _require(spec, "location", list, where)
-            return Sensor(POINTWISE, tuple(float(c) for c in location))
-        if kind == ZONE:
-            rect = _require(spec, "rect", list, where)
-            region = _region_from_spec([rect], dimension)
-            dist = _distribution_from_spec(
-                _require(spec, "distribution", dict, where), where + ".distribution"
-            )
-            return Sensor(ZONE, region, dist)
-        if kind == FILAMENT:
-            fil = Filament(
-                _require(spec, "axis", int, where),
-                tuple(float(v) for v in _require(spec, "interval", list, where)),
-                _require(spec, "fixed", float, where),
-            )
-            dist = _distribution_from_spec(
-                _require(spec, "distribution", dict, where), where + ".distribution"
-            )
-            return Sensor(FILAMENT, fil, dist)
+        return build(*args, **kwargs)
     except DomainError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}.kind: unknown sensor kind {kind!r}")
+
+
+def _table(schema: dict, build):
+    """Parser of a JSON object read by `schema` into build(**fields)."""
+    return lambda spec, where, top: _build(
+        where, build, **_read(spec, schema, where, top))
+
+
+def _tagged(tag: str, parsers: dict):
+    """Parser of a JSON object whose `tag` field picks the parser of the rest."""
+    def parse(spec, where: str, top: dict):
+        # _read rejects a non-object; tuple() lets a list or object tag compare
+        kind = spec.get(tag) if isinstance(spec, dict) else _read(spec, {}, where)
+        if kind not in tuple(parsers):
+            raise ConfigError(
+                f"{where}.{tag}: expected one of {tuple(parsers)}, got {kind!r}")
+        rest = {key: value for key, value in spec.items() if key != tag}
+        return parsers[kind](rest, where, top)
+    return parse
+
+
+def _list(item, size=None, least: int = 0, build=tuple):
+    """Parser of a JSON list of `item` kinds into build(tuple): exactly `size`
+    of them (an int, or a top-level key) if given, else at least `least`."""
+    def parse(value, where: str, top: dict):
+        n = top[size] if isinstance(size, str) else size
+        if not isinstance(value, list) or len(value) < least \
+                or n not in (None, len(value)):
+            raise ConfigError(f"{where}: expected a list of "
+                              f"{n or f'{least}+'} values, got {value!r}")
+        return _build(where, build, tuple(
+            _parse(item, v, f"{where}[{i}]", top) for i, v in enumerate(value)))
+    return parse
+
+
+def _one_of(*choices) -> tuple:
+    return lambda value, top: value in choices, " or ".join(map(repr, choices))
+
+
+def _constant(value: float):
+    return lambda pts: np.full(pts.shape[0], value)
+
+
+def _sine(freq: tuple):
+    def dist(pts: np.ndarray) -> np.ndarray:
+        out = np.ones(pts.shape[0])
+        for axis, f in enumerate(freq):
+            if f != 0.0:
+                out = out * np.sin(f * np.pi * pts[:, axis])
+        return out
+    return dist
+
+
+def _cosine(coefficients: tuple):
+    def dist(pts: np.ndarray) -> np.ndarray:
+        out = np.zeros(pts.shape[0])
+        for k, c in enumerate(coefficients, start=1):
+            out += c * np.cos(k * np.pi * pts[:, 0])
+        return out
+    return dist
+
+
+def _bilinear(x1: tuple, x2: tuple, values: tuple) -> BilinearTable:
+    if [len(row) for row in values] != [len(x2)] * len(x1):
+        raise DomainError(f"table values must be {len(x1)} x {len(x2)}")
+    return BilinearTable(*(np.asarray(a, dtype=float) for a in (x1, x2, values)))
+
+
+_PAIR = _list(float, 2)
+_INCREASING = (lambda v, top: all(a < b for a, b in zip(v, v[1:])), "increasing")
+DISTRIBUTION = _tagged("type", {
+    "constant": _table({"value": (float, _REQUIRED, None)}, _constant),
+    "sine": _table({"freq": (_list(float), _REQUIRED, (
+        lambda v, top: len(v) <= top["dimension"], "at most {dimension} long"))},
+        _sine),
+    "cosine": _table({"coefficients": (_list(float), _REQUIRED, None)}, _cosine),
+    "table": _table({
+        "x1": (_list(float, least=2), _REQUIRED, _INCREASING),
+        "x2": (_list(float, least=2), _REQUIRED, (
+            lambda v, top: top["dimension"] == 2 and _INCREASING[0](v, top),
+            "increasing, in a 2-D config")),
+        "values": (_list(_list(float)), _REQUIRED, None),
+    }, _bilinear),
+})
+SENSOR = _tagged("kind", {
+    POINTWISE: _table({"location": (_list(float, "dimension"), _REQUIRED, None)},
+                      lambda location: Sensor(POINTWISE, location)),
+    ZONE: _table({
+        "rect": (_list(_PAIR, "dimension"), _REQUIRED, None),
+        "distribution": (DISTRIBUTION, _REQUIRED, None),
+    }, lambda rect, distribution: Sensor(ZONE, Region((rect,)), distribution)),
+    FILAMENT: _table({
+        "axis": (int, _REQUIRED, (lambda v, top: top["dimension"] == 2,
+                                  "an axis of a 2-D config")),
+        "interval": (_PAIR, _REQUIRED, None),
+        "fixed": (float, _REQUIRED, None),
+        "distribution": (DISTRIBUTION, _REQUIRED, None),
+    }, lambda distribution, **fil: Sensor(FILAMENT, Filament(**fil), distribution)),
+})
+
+
+def _hum(spec, where: str, top: dict) -> HumConfig:
+    if isinstance(spec, dict) and "weighting" in spec:
+        raise ConfigError(f"{where}.weighting: not read; set the top-level "
+                          "'weighting' key instead")
+    return _table({
+        "cg_tolerance": (float, HumConfig.cg_tolerance, None),
+        "max_iterations": (int, HumConfig.max_iterations, None),
+        "regularization": (float, HumConfig.regularization, None),
+    }, HumConfig)(spec, where, top)
 
 
 def _counterexample_gradient(pts: np.ndarray) -> np.ndarray:
@@ -210,122 +257,75 @@ def _counterexample_gradient(pts: np.ndarray) -> np.ndarray:
     return np.stack([g1, g2], axis=1)
 
 
-def _initial_from_spec(spec: dict, basis: Basis, region: Region) -> SpectralField:
-    kind = _require(spec, "type", str, "config.initial")
-    if kind == "modes":
-        coeffs = np.zeros(len(basis))
-        for t, term in enumerate(_require(spec, "terms", list, "config.initial")):
-            where = f"config.initial.terms[{t}]"
-            indices = tuple(_require(term, "indices", list, where))
-            value = _require(term, "value", float, where)
-            try:
-                coeffs[basis.index_of(indices)] += value
-            except (DomainError, KeyError) as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-        return SpectralField(basis, coeffs)
-    if kind == "counterexample-gradient":
-        if basis.dimension != 2:
-            raise ConfigError("config.initial: counterexample-gradient is 2-D")
-        g = sample_vector_field(
-            _counterexample_gradient, whole_domain(2), basis.truncation
-        )
-        return grad_adjoint(restrict(g, region), basis)
-    raise ConfigError(f"config.initial.type: unknown initial type {kind!r}")
+def _modes_state(terms: tuple, basis: Basis, region: Region) -> SpectralField:
+    coeffs = np.zeros(len(basis))
+    for term in terms:
+        coeffs[basis.index_of(term["indices"])] += term["value"]
+    return SpectralField(basis, coeffs)
+
+
+def _counterexample_state(basis: Basis, region: Region) -> SpectralField:
+    if basis.dimension != 2:
+        raise ConfigError("config.initial: counterexample-gradient is 2-D")
+    g = sample_vector_field(_counterexample_gradient, whole_domain(2),
+                            basis.truncation)
+    return grad_adjoint(restrict(g, region), basis)
+
+
+# an initial spec reads as a function of (basis, region), called on demand
+INITIAL = _tagged("type", {
+    "modes": _table({"terms": (_list(_table({
+        "indices": (_list(int, "dimension"), _REQUIRED, (
+            lambda v, top: all(1 <= i <= top["truncation"] for i in v),
+            "in [1, truncation={truncation}]")),
+        "value": (float, _REQUIRED, None),
+    }, dict)), _REQUIRED, None)}, lambda terms: partial(_modes_state, terms)),
+    "counterexample-gradient": _table({}, lambda: _counterexample_state),
+})
+_SUB_TRUNCATION = (int, lambda top: min(top["truncation"], 6), (
+    lambda v, top: 1 <= v <= top["truncation"], "in [1, truncation={truncation}]"))
+CONFIG = {
+    "alpha": (float, _REQUIRED, (lambda v, top: 0.0 < v <= 1.0, "in (0, 1]")),
+    "horizon": (float, _REQUIRED, (lambda v, top: v > 0.0, "positive")),
+    "dimension": (int, _REQUIRED, _one_of(1, 2)),
+    "truncation": (int, _REQUIRED, (lambda v, top: v >= 1, ">= 1")),
+    "gram_truncation": _SUB_TRUNCATION,
+    "potential_truncation": _SUB_TRUNCATION,
+    "gram_kind": (str, GRADIENT, _one_of(COMPONENT, GRADIENT)),
+    "weighting": (str, WEIGHTING_NONE, _one_of(WEIGHTING_NONE, WEIGHTING_COMPENSATED)),
+    "time_panels": (int, TIME_PANELS, (lambda v, top: v >= 1, ">= 1")),
+    "region": (_list(_list(_PAIR, "dimension"), least=1, build=Region),
+               lambda top: whole_domain(top["dimension"]), None),
+    "sensors": (_list(SENSOR, least=1), _REQUIRED, None),
+    "noise": (_table({
+        "sigma": (float, 0.0, (lambda v, top: v >= 0.0, ">= 0")),
+        "seed": (int, None, (lambda v, top: 0 <= v < 2**128, "in [0, 2**128)")),
+    }, lambda sigma, seed: (sigma, seed)), (0.0, None), None),
+    "hum": (_hum, HumConfig(), None),
+    "initial": (INITIAL, None, None),
+}
 
 
 class Experiment:
-    """Validated configuration with its constructed model objects."""
+    """Validated configuration; each top-level key of CONFIG is an attribute."""
 
     def __init__(self, config: dict) -> None:
         self.config = config
-        _reject_unknown(config, CONFIG_KEYS, "config")
-        self.alpha = _require(config, "alpha", float)
-        self.horizon = _require(config, "horizon", float)
-        self.dimension = _require(config, "dimension", int)
-        if self.dimension not in (1, 2):
-            raise ConfigError("config.dimension: must be 1 or 2")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ConfigError(f"config.alpha: must be in (0, 1], got {self.alpha}")
-        if self.horizon <= 0.0:
-            raise ConfigError(f"config.horizon: must be positive")
-        self.truncation = _require(config, "truncation", int)
-        self.gram_truncation = _require(
-            config, "gram_truncation", int, default=min(self.truncation, 6)
-        )
-        self.potential_truncation = _require(
-            config, "potential_truncation", int, default=min(self.truncation, 6)
-        )
-        for key, value in (("gram_truncation", self.gram_truncation),
-                           ("potential_truncation", self.potential_truncation)):
-            if not (1 <= value <= self.truncation):
-                raise ConfigError(
-                    f"config.{key}: must be in [1, truncation={self.truncation}], "
-                    f"got {value}"
-                )
-        self.gram_kind = _require(config, "gram_kind", str, default=GRADIENT)
-        if self.gram_kind not in (COMPONENT, GRADIENT):
-            raise ConfigError(
-                f"config.gram_kind: must be {COMPONENT!r} or {GRADIENT!r}, "
-                f"got {self.gram_kind!r}"
-            )
-        self.weighting = _require(config, "weighting", str, default=WEIGHTING_NONE)
-        if self.weighting not in (WEIGHTING_NONE, WEIGHTING_COMPENSATED):
-            raise ConfigError(
-                f"config.weighting: must be {WEIGHTING_NONE!r} or "
-                f"{WEIGHTING_COMPENSATED!r}, got {self.weighting!r}"
-            )
-        self.time_panels = _require(config, "time_panels", int, default=TIME_PANELS)
-        if self.time_panels < 1:
-            raise ConfigError("config.time_panels: must be >= 1")
+        vars(self).update(_read(config, CONFIG, "config"))
         try:
             self.basis = build_basis(self.dimension, self.truncation)
         except (DomainError, SizeError) as exc:
             raise ConfigError(f"config.truncation: {exc}") from exc
-        self.region = _region_from_spec(config.get("region"), self.dimension)
-        sensor_specs = _require(config, "sensors", list)
-        if not sensor_specs:
-            raise ConfigError("config.sensors: at least one sensor required")
-        self.suite = SensorSuite(
-            tuple(
-                _sensor_from_spec(s, self.dimension, i)
-                for i, s in enumerate(sensor_specs)
-            )
-        )
-        noise = _require(config, "noise", dict, default={})
-        _reject_unknown(noise, NOISE_KEYS, "config.noise")
-        self.noise_sigma = _require(noise, "sigma", float, "config.noise", 0.0)
-        if self.noise_sigma < 0.0:
-            raise ConfigError("config.noise.sigma: must be >= 0")
-        self.noise_seed = _require(noise, "seed", int, "config.noise", None)
+        self.suite = SensorSuite(self.sensors)
+        self.noise_sigma, self.noise_seed = self.noise
         if self.noise_sigma > 0.0 and self.noise_seed is None:
-            raise ConfigError(
-                "config.noise.seed: required when noise.sigma > 0 "
-                "(or pass --seed)"
-            )
-        hum = _require(config, "hum", dict, default={})
-        if "weighting" in hum:
-            raise ConfigError(
-                "config.hum.weighting: not read; set the top-level "
-                "'weighting' key instead"
-            )
-        _reject_unknown(hum, HUM_KEYS, "config.hum")
-        try:
-            self.hum_config = HumConfig(
-                _require(hum, "cg_tolerance", float, "config.hum",
-                         HumConfig.cg_tolerance),
-                _require(hum, "max_iterations", int, "config.hum",
-                         HumConfig.max_iterations),
-                _require(hum, "regularization", float, "config.hum",
-                         HumConfig.regularization),
-            )
-        except DomainError as exc:
-            raise ConfigError(f"config.hum: {exc}") from exc
-        self.initial_spec = config.get("initial")
+            raise ConfigError("config.noise.seed: required when noise.sigma > 0 "
+                              "(or pass --seed)")
 
     def initial_state(self) -> SpectralField:
-        if self.initial_spec is None:
+        if self.initial is None:
             raise ConfigError("config.initial: required for this command")
-        return _initial_from_spec(self.initial_spec, self.basis, self.region)
+        return self.initial(self.basis, self.region)
 
     def grid(self) -> TimeGrid:
         return time_grid(self.alpha, self.horizon, self.time_panels)
@@ -451,10 +451,16 @@ def _write_gradient_grid(out_dir: str, name: str, field: SpectralField,
 # -------------------------------------------------------------- commands ---
 
 
+def _number_list(text: str) -> list[float]:
+    try:
+        return [float(z) for z in text.split(",") if z.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}") from None
+
+
 def cmd_mlf(args, out_dir: str) -> int:
-    values = [float(z) for z in args.z.split(",") if z.strip()]
     lines = ["z,value"]
-    for z in values:
+    for z in args.z:
         lines.append(f"{_g(z)},{_g(mlf(args.alpha, args.beta, z))}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
@@ -485,7 +491,7 @@ def cmd_simulate(experiment: Experiment, out_dir: str) -> int:
     return 0
 
 
-def _strategic_payload(experiment: Experiment) -> dict:
+def cmd_strategic(experiment: Experiment, out_dir: str) -> int:
     gset = build_g_matrices(experiment.basis, experiment.suite)
     payload = {
         "g_matrices": [
@@ -524,11 +530,7 @@ def _strategic_payload(experiment: Experiment) -> dict:
             smallest_eigenvalue=gram.smallest_eigenvalue,
             largest_eigenvalue=gram.largest_eigenvalue,
         )
-    return payload
-
-
-def cmd_strategic(experiment: Experiment, out_dir: str) -> int:
-    _write_report(out_dir, "strategic", experiment.config, _strategic_payload(experiment))
+    _write_report(out_dir, "strategic", experiment.config, payload)
     return 0
 
 
@@ -585,7 +587,7 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
             noise_sigma=experiment.noise_sigma,
             noise_seed=experiment.noise_seed,
         )
-    result = solve(record, experiment.hum_config, context)
+    result = solve(record, experiment.hum, context)
     state_coefficients = context.d_matrix.T @ result.potential.coefficients
     state = SpectralField(experiment.basis, state_coefficients)
     _write_gradient_grid(out_dir, "gradient.csv", state, experiment.region)
@@ -614,6 +616,8 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
 
 
 def cmd_counterexample(experiment: Experiment, out_dir: str) -> int:
+    if experiment.dimension != 2:
+        raise ConfigError("config.dimension: counterexample is 2-D")
     basis = experiment.basis
     g = sample_vector_field(
         _counterexample_gradient, whole_domain(2), basis.truncation
@@ -672,11 +676,9 @@ def _load_config(args) -> dict:
             raise ConfigError(f"{args.config}: top level must be a JSON object")
     else:
         raise ConfigError("either --config or --preset is required")
-    if args.seed is not None:
-        noise = dict(config.get("noise") or {})
-        noise["seed"] = args.seed
-        noise.setdefault("sigma", 0.0)
-        config["noise"] = noise
+    noise = config.get("noise") or {}
+    if args.seed is not None and isinstance(noise, dict):
+        config["noise"] = {"sigma": 0.0, **noise, "seed": args.seed}
     return config
 
 
@@ -700,7 +702,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mlf = sub.add_parser("mlf", help="evaluate the two-parameter function")
     p_mlf.add_argument("--alpha", type=float, required=True)
     p_mlf.add_argument("--beta", type=float, required=True)
-    p_mlf.add_argument("--z", required=True, help="comma-separated arguments")
+    p_mlf.add_argument("--z", required=True, type=_number_list,
+                       help="comma-separated arguments")
     p_mlf.add_argument("--out", help="output directory")
     p_mlf.add_argument("--save", action="store_true", help="also write mlf.csv")
 
@@ -727,18 +730,13 @@ def main(argv: list[str] | None = None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "mlf":
             code = cmd_mlf(args, out_dir)
+        elif args.command == "reconstruct":
+            code = cmd_reconstruct(Experiment(_load_config(args)), out_dir,
+                                   args.observations)
         else:
-            experiment = Experiment(_load_config(args))
-            if args.command == "simulate":
-                code = cmd_simulate(experiment, out_dir)
-            elif args.command == "strategic":
-                code = cmd_strategic(experiment, out_dir)
-            elif args.command == "gram":
-                code = cmd_gram(experiment, out_dir)
-            elif args.command == "reconstruct":
-                code = cmd_reconstruct(experiment, out_dir, args.observations)
-            else:
-                code = cmd_counterexample(experiment, out_dir)
+            command = {"simulate": cmd_simulate, "strategic": cmd_strategic,
+                       "gram": cmd_gram, "counterexample": cmd_counterexample}
+            code = command[args.command](Experiment(_load_config(args)), out_dir)
     except ConfigError as exc:
         print(f"gradobs: config error: {exc}", file=sys.stderr)
         return 2

@@ -10,8 +10,9 @@ evaluator is specialized to the real line with ``z <= Z_MAX``:
   omitted exponentially small part ``exp(-|z|**(1/alpha))`` is negligible,
 * in the gap between the two, for 0 < alpha < 1, Gauss-Legendre quadrature
   of the positive-axis Laplace integral (Gorenflo, Loutchko & Luchko 2002)
-  in double precision; only alpha >= 1 falls back to an extended-precision
-  (mpmath) power series there, because the integral needs alpha < 1.
+  in double precision, and for alpha = 1 an extended-precision (mpmath)
+  power series.  Orders alpha > 1 are rejected: there the asymptotic
+  expansion omits more than ``exp(-|z|**(1/alpha))``.
 
 The density ``psi_alpha`` is the one-sided stable series
 ``(1/pi) * sum (-1)**(n-1) theta**(-alpha*n-1) Gamma(n*alpha+1)/n! *
@@ -99,7 +100,7 @@ def _mlf_series(alpha: float, beta: float, z: float) -> float:
 
 
 def _mlf_series_mp(alpha: float, beta: float, z: float, peak_nats: float) -> float:
-    """Power series in extended precision for the cancellation gap.
+    """Power series in extended precision for the alpha = 1 cancellation gap.
 
     Only ever called with peak_nats in (SERIES_SAFE_NATS, ASYMPTOTIC_SAFE_NATS),
     so both the precision and the term count stay small.
@@ -244,11 +245,10 @@ def _mlf_asymptotic(alpha: float, beta: float, z: float) -> float:
 
 
 def mlf(alpha: float, beta: float, z: float) -> float:
-    """Evaluate E_{alpha,beta}(z) on the real line, z <= Z_MAX."""
-    if alpha <= 0.0 or beta <= 0.0:
-        raise DomainError(
-            f"Mittag-Leffler parameters must be positive, got alpha={alpha}, beta={beta}"
-        )
+    """Evaluate E_{alpha,beta}(z) on the real line, z <= Z_MAX, 0 < alpha <= 1."""
+    if not (0.0 < alpha <= 1.0 and beta > 0.0):
+        raise DomainError(f"Mittag-Leffler parameters need 0 < alpha <= 1 and "
+                          f"beta > 0, got alpha={alpha}, beta={beta}")
     if not math.isfinite(z):
         raise DomainError(f"argument must be finite, got {z}")
     if z > Z_MAX:

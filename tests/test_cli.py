@@ -1,10 +1,15 @@
 """Command-line harness: exit codes, artifacts and byte determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradobs.cli import main, read_observations
 from gradobs.errors import ConfigError
@@ -35,6 +40,33 @@ def test_mlf_command_domain_error_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "numerical domain error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "nan"])
+def test_mlf_command_rejects_orders_outside_the_model(tmp_path, capsys, alpha):
+    code = main(["mlf", "--alpha", alpha, "--beta", "1.5", "--z=-200",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "0 < alpha <= 1" in err
+
+
+def test_mlf_command_non_numeric_argument_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["mlf", "--alpha", "0.5", "--beta", "0.5", "--z=abc",
+              "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert "--z" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name", ["gram-zero", "heat-limit", "strategic-1d-fail", "strategic-1d-pass"]
+)
+def test_counterexample_on_a_1d_config_is_a_config_error(tmp_path, capsys, name):
+    code = main(["counterexample", "--preset", name, "--out", str(tmp_path)])
+    assert code == 2
+    assert "config.dimension" in capsys.readouterr().err
 
 
 def test_missing_config_is_a_config_error(tmp_path, capsys):
@@ -69,8 +101,12 @@ def test_unweighted_small_alpha_is_a_numerical_domain_error(tmp_path, capsys):
 def _set(config, path, value):
     *head, key = path
     for part in head:
-        config = config.setdefault(part, {})
+        config = config[part] if isinstance(part, int) else config.setdefault(part, {})
     config[key] = value
+
+
+_FILAMENT = {"kind": "filament", "axis": 0, "interval": [0.1, 0.5, 0.9],
+             "fixed": 0.5, "distribution": {"type": "constant", "value": 1.0}}
 
 
 @pytest.mark.parametrize(
@@ -95,6 +131,14 @@ def _set(config, path, value):
         ("simulate", ("horizn",), 1.0, "horizn"),
         ("reconstruct", ("hum", "cg_tolerence"), 1e-10, "cg_tolerence"),
         ("simulate", ("noise", "sigam"), 1e-3, "sigam"),
+        ("simulate", ("sensors", 0, "location"), ["a", 0.5],
+         "config.sensors[0].location"),
+        ("simulate", ("sensors", 0, "location"), [0.5], "config.sensors[0].location"),
+        ("simulate", ("sensors", 0), _FILAMENT, "config.sensors[0].interval"),
+        ("simulate", ("initial",), [1.0], "config.initial"),
+        ("simulate", ("noise", "seed"), -1, "config.noise.seed"),
+        ("simulate", ("sensors", 0), 5, "config.sensors[0]"),
+        ("simulate", ("initial", "terms", 0), 5, "config.initial.terms[0]"),
     ],
 )
 def test_config_mistakes_exit_2(tmp_path, capsys, command, path, value, field):
@@ -278,3 +322,66 @@ def test_every_preset_is_loadable():
         assert isinstance(config, dict) and "alpha" in config
     with pytest.raises(ConfigError):
         preset("no-such-preset")
+
+
+# sizes a mutation may lower but never raise, so every example stays cheap
+_SIZE_KEYS = ("truncation", "time_panels", "max_iterations")
+_DELETE = object()
+
+
+def _json_paths(node, path=()):
+    """Paths to every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutation_pool(parent, key):
+    """Replacements for parent[key] (or _DELETE): null, a value of each other
+    JSON type, negative, zero and out-of-range numbers, an unknown key, a
+    shorter or longer list."""
+    value = parent[key]
+    pool = [None, _DELETE] if isinstance(parent, dict) else [None]
+    pool += [v for v in (1.5, "x", [1.0], {"x": 1.0}) if type(v) is not type(value)]
+    for number in (-1, 0, -0.5, 2.5, 1e9):
+        if key not in _SIZE_KEYS or (
+            isinstance(value, (int, float)) and number <= value
+        ):
+            pool.append(number)
+    if isinstance(value, dict):
+        pool.append({**value, "bogus_key": 1.0})
+    if isinstance(value, list) and value:
+        pool += [value[:-1], value + value[-1:]]
+    return pool
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_presets_exit_with_a_documented_code(data):
+    config = preset(data.draw(st.sampled_from(preset_names()), label="preset"))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        *head, key = data.draw(st.sampled_from(list(_json_paths(config))), label="path")
+        parent = config
+        for part in head:
+            parent = parent[part]
+        value = data.draw(st.sampled_from(_mutation_pool(parent, key)), label="value")
+        if value is _DELETE:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "config.json")
+        with open(path, "w") as handle:
+            json.dump(config, handle)
+        for command in ("simulate", "strategic", "gram"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", path, "--out", work])
+            assert code in (0, 2, 3, 4), (command, err.getvalue())
+            assert "Traceback" not in err.getvalue()

@@ -208,6 +208,17 @@ def test_mlf_rejects_bad_arguments():
         mlf(0.5, 1.0, math.inf)
 
 
+def test_mlf_rejects_orders_outside_the_model():
+    # for alpha > 1 the asymptotic branch dropped more than exp(-peak): it
+    # returned -1.05682e-5 for (1.5, 1.5, -200), where the mpmath series gives
+    # -1.05764e-5, and -4.71e-5 for (1.9, 1, -2000), whose value is -6.00e-3
+    assert _mp_series(1.5, 1.5, -200.0) == pytest.approx(-1.05764e-5, rel=1e-5)
+    for alpha, beta, z in [(1.5, 1.5, -200.0), (1.9, 1.0, -2000.0),
+                           (math.nan, 0.5, -1.0), (0.5, math.nan, -1.0)]:
+        with pytest.raises(DomainError):
+            mlf(alpha, beta, z)
+
+
 def test_rgamma_poles_and_values():
     assert rgamma(1.0) == pytest.approx(1.0, rel=1e-15)
     assert rgamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
