@@ -31,10 +31,11 @@ from .dynamics import (
     response_matrix,
     time_weight,
 )
-from .sensing import SensorSuite, coupling_matrix
+from .sensing import SensorSuite, coupling_matrix, coupling_tables
 from .spectral import (
     Basis,
     Region,
+    SineTables,
     VectorFieldSamples,
     build_basis,
     grad_adjoint,
@@ -112,8 +113,8 @@ def build_g_matrices(basis: Basis, suite: SensorSuite) -> GMatrixSet:
     slice of the per-axis coupling matrix.
     """
     bounds = np.cumsum([group.multiplicity for group in basis.groups])[:-1]
-    per_axis = [np.split(coupling_matrix(suite, basis, s), bounds, axis=1)
-                for s in range(basis.dimension)]
+    grads = coupling_tables(suite, basis.indices, gradients=True)
+    per_axis = [np.split(g, bounds, axis=1) for g in grads]
     return GMatrixSet(basis, suite, tuple(zip(*per_axis)))
 
 
@@ -182,25 +183,30 @@ def response_kernel_matrix(
     return (f * (wq * w)[None, :]) @ f.T
 
 
+def _region_overlap(test_basis: Basis, basis: Basis, region: Region,
+                    gradients: bool) -> np.ndarray:
+    """sum_s int_omega t_s(xi_q) t_s(xi_j), t the value or, with gradients,
+    each d/dx_s, from one SineTables pass over the union of both bases'
+    modes on the region grid."""
+    if test_basis.dimension != basis.dimension:
+        raise DomainError("test basis and basis have different dimensions")
+    grid = region_quadrature(region, max(test_basis.truncation, basis.truncation))
+    union, rows = np.unique(np.vstack([test_basis.indices, basis.indices]),
+                            axis=0, return_inverse=True)
+    tq, tj = np.split(rows.ravel(), [len(test_basis)])
+    tables = SineTables(union, grid.points, gradients)()
+    return sum((t[tq] * grid.weights[None, :]) @ t[tj].T
+               for t in (tables if gradients else tables[None]))
+
+
 def overlap_matrix(test_basis: Basis, basis: Basis, region: Region) -> np.ndarray:
     """R[q,j] = int_omega xi_q xi_j."""
-    max_index = max(test_basis.truncation, basis.truncation)
-    grid = region_quadrature(region, max_index)
-    tq = np.stack([m.eval(grid.points) for m in test_basis.modes])
-    tj = np.stack([m.eval(grid.points) for m in basis.modes])
-    return (tq * grid.weights[None, :]) @ tj.T
+    return _region_overlap(test_basis, basis, region, gradients=False)
 
 
 def grad_overlap_matrix(test_basis: Basis, basis: Basis, region: Region) -> np.ndarray:
     """D[q,j] = int_omega grad(xi_q) . grad(xi_j)."""
-    max_index = max(test_basis.truncation, basis.truncation)
-    grid = region_quadrature(region, max_index)
-    out = np.zeros((len(test_basis), len(basis)))
-    gq = np.stack([m.grad(grid.points) for m in test_basis.modes])  # (Q, N, dim)
-    gj = np.stack([m.grad(grid.points) for m in basis.modes])
-    for s in range(basis.dimension):
-        out += (gq[:, :, s] * grid.weights[None, :]) @ gj[:, :, s].T
-    return out
+    return _region_overlap(test_basis, basis, region, gradients=True)
 
 
 def _spectrum_report(kind: str, gram: np.ndarray, test_modes) -> GramReport:
@@ -253,7 +259,7 @@ def gram_regional(
     r = overlap_matrix(test_basis, basis, region)
     n = basis.dimension
     q = len(test_basis)
-    grads = [coupling_matrix(suite, basis, s) for s in range(n)]
+    grads = coupling_tables(suite, basis.indices, gradients=True)
     gram = np.zeros((n * q, n * q))
     for i in range(len(suite)):
         rows = np.vstack([r * g[i][None, :] for g in grads])

@@ -20,6 +20,7 @@ from .spectral import (
     Basis,
     Mode,
     Region,
+    SineTables,
     SpectralField,
     interval_rule,
     region_quadrature,
@@ -112,58 +113,59 @@ class SensorSuite:
         return len(self.sensors)
 
 
-def _weighted_points(sensor: Sensor, max_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sensor as points (N, dim) and weights (quadrature weight times
-    distribution), resolving modes with indices up to max_index."""
+def _weighted_points(sensor: Sensor, max_indices: np.ndarray):
+    """The sensor as weighted point sets for modes with the given max indices:
+    yields (modes selected, points (N, dim), quadrature weight times
+    distribution), one set for a point, one per distinct max index for a zone
+    or filament."""
     if sensor.kind == POINTWISE:
-        return np.asarray(sensor.geometry, dtype=float)[None, :], np.ones(1)
-    if sensor.kind == ZONE:
-        grid = region_quadrature(sensor.geometry, max_index)
-        pts, w = grid.points, grid.weights
-    else:
-        fil = sensor.geometry
-        s, w = interval_rule(*fil.interval, max_index)
-        pts = np.empty((s.size, 2))
-        pts[:, fil.axis] = s
-        pts[:, 1 - fil.axis] = fil.fixed
-    return pts, w * np.asarray(sensor.distribution(pts), dtype=float)
+        yield slice(None), np.array([sensor.geometry], dtype=float), np.ones(1)
+        return
+    for max_index in map(int, np.unique(max_indices)):
+        if sensor.kind == ZONE:
+            grid = region_quadrature(sensor.geometry, max_index)
+            pts, w = grid.points, grid.weights
+        else:
+            fil = sensor.geometry
+            s, w = interval_rule(*fil.interval, max_index)
+            pts = np.empty((s.size, 2))
+            pts[:, fil.axis] = s
+            pts[:, 1 - fil.axis] = fil.fixed
+        w = w * np.asarray(sensor.distribution(pts), dtype=float)
+        yield max_indices == max_index, pts, w
 
 
-def _coupling_row(
-    sensor: Sensor, modes: tuple[Mode, ...], axis: int | None
-) -> np.ndarray:
-    """Couplings of one sensor with each mode, or with d(mode)/dx_axis; the
-    weighted point set is built once per distinct mode.max_index."""
-    rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    row = np.empty(len(modes))
-    for j, mode in enumerate(modes):
-        if axis is not None and not (0 <= axis < mode.dimension):
-            raise DomainError(f"axis {axis} invalid in {mode.dimension}-D")
-        if mode.max_index not in rules:
-            rules[mode.max_index] = _weighted_points(sensor, mode.max_index)
-        pts, w = rules[mode.max_index]
-        vals = mode.eval(pts) if axis is None else mode.grad(pts)[:, axis]
-        row[j] = np.sum(w * vals)
-    return row
+def coupling_tables(suite: SensorSuite, indices: np.ndarray,
+                    gradients: bool = False) -> np.ndarray:
+    """kappa[i, j] = (f_i, xi_j) for the modes with indices (M, dim) or, with
+    gradients, G[s, i, j] = (f_i, d(xi_j)/dx_s), from one SineTables pass per
+    sensor point set."""
+    shape = (len(suite), len(indices))
+    out = np.empty((indices.shape[1], *shape) if gradients else shape)
+    for i, sensor in enumerate(suite.sensors):
+        for sel, pts, w in _weighted_points(sensor, indices.max(axis=1)):
+            vals = SineTables(indices[sel], pts, gradients)()
+            out[..., i, sel] = np.sum(w * vals, axis=-1)
+    return out
 
 
 def coupling(sensor: Sensor, mode: Mode) -> float:
     """Per-mode output factor (f, xi_mode) over the sensor support."""
-    return float(_coupling_row(sensor, (mode,), None)[0])
+    suite, indices = SensorSuite((sensor,)), np.array([mode.indices])
+    return float(coupling_tables(suite, indices)[0, 0])
 
 
 def grad_coupling(sensor: Sensor, mode: Mode, axis: int) -> float:
     """Same quadrature against d(xi_mode)/dx_axis (axis is 0-based)."""
-    return float(_coupling_row(sensor, (mode,), axis)[0])
+    if not 0 <= axis < len(mode.indices):
+        raise DomainError(f"axis {axis} invalid in {len(mode.indices)}-D")
+    suite, indices = SensorSuite((sensor,)), np.array([mode.indices])
+    return float(coupling_tables(suite, indices, gradients=True)[axis, 0, 0])
 
 
-def coupling_matrix(
-    suite: SensorSuite, basis: Basis, axis: int | None = None
-) -> np.ndarray:
-    """kappa[i, j] = coupling(sensor_i, mode_j), in basis mode order; with an
-    axis, grad_coupling(sensor_i, mode_j, axis) instead."""
-    return np.array([_coupling_row(sensor, basis.modes, axis)
-                     for sensor in suite.sensors])
+def coupling_matrix(suite: SensorSuite, basis: Basis) -> np.ndarray:
+    """kappa[i, j] = coupling(sensor_i, mode_j), in basis mode order."""
+    return coupling_tables(suite, basis.indices)
 
 
 def observe(state: SpectralField, suite: SensorSuite) -> np.ndarray:

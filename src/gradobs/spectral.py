@@ -15,6 +15,7 @@ resolves the most oscillatory basis integrand with >= 4 nodes per half-wave.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,36 +41,52 @@ class Mode:
         if not self.indices or any(j < 1 for j in self.indices):
             raise DomainError(f"mode indices must be >= 1, got {self.indices}")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.indices)
-
-    @property
-    def max_index(self) -> int:
-        return max(self.indices)
-
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Eigenfunction values; points has shape (N, dim)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.full(pts.shape[0], math.sqrt(2.0) ** len(self.indices))
-        for axis, j in enumerate(self.indices):
-            out = out * np.sin(j * np.pi * pts[:, axis])
-        return out
+        return SineTables(np.array([self.indices]), points)()[0]
 
     def grad(self, points: np.ndarray) -> np.ndarray:
         """Analytic gradient, shape (N, dim)."""
+        return SineTables(np.array([self.indices]), points, gradients=True)()[:, 0].T
+
+
+class SineTables:
+    """The basis evaluator for modes with indices (M, dim) at points (N, dim).
+
+    sin(j pi x_a) and, with gradients, cos(j pi x_a) are tabulated once per
+    axis a for every index j that occurs on it.  A call combines them into
+    the values (m, N) or, with gradients, every d/dx_s (dim, m, N) of the
+    selected modes (all by default), each in one order of factors:
+    sqrt(2)**dim first, then axis by axis, with (c * j pi) * cos(j pi x_s)
+    on the differentiated axis s.
+    """
+
+    def __init__(self, indices: np.ndarray, points: np.ndarray,
+                 gradients: bool = False) -> None:
+        self.indices = np.asarray(indices, dtype=int)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        dim = len(self.indices)
-        out = np.empty((pts.shape[0], dim))
-        for s in range(dim):
-            col = np.full(pts.shape[0], math.sqrt(2.0) ** dim)
-            for axis, j in enumerate(self.indices):
+        if pts.shape[1] != self.indices.shape[1]:
+            raise DomainError(f"{pts.shape[1]}-D points given for "
+                              f"{self.indices.shape[1]}-D modes")
+        self.size = pts.shape[0]
+        js, self.rows = zip(*(np.unique(col, return_inverse=True)
+                              for col in self.indices.T))
+        phase = [(j * np.pi)[:, None] * pts[:, axis] for axis, j in enumerate(js)]
+        self.sin = [np.sin(p) for p in phase]  # (J_axis, N) per axis
+        self.cos = [np.cos(p) for p in phase] if gradients else None
+
+    def __call__(self, modes=slice(None)) -> np.ndarray:
+        idx = self.indices[modes]
+        rows = [r[modes] for r in self.rows]
+        dim = idx.shape[1]
+        diff = [None] if self.cos is None else range(dim)  # axis s per product
+        out = np.full((len(diff), idx.shape[0], self.size), math.sqrt(2.0) ** dim)
+        for col, s in zip(out, diff):
+            for axis in range(dim):
                 if axis == s:
-                    col = col * (j * np.pi) * np.cos(j * np.pi * pts[:, axis])
-                else:
-                    col = col * np.sin(j * np.pi * pts[:, axis])
-            out[:, s] = col
-        return out
+                    col *= (idx[:, axis] * np.pi)[:, None]
+                col *= (self.cos if axis == s else self.sin)[axis][rows[axis]]
+        return out[0] if self.cos is None else out
 
 
 @dataclass(frozen=True)
@@ -92,10 +109,13 @@ class Basis:
     truncation: int
     groups: tuple[EigenGroup, ...]
     modes: tuple[Mode, ...] = field(init=False)
+    indices: np.ndarray = field(init=False, repr=False, compare=False)  # (M, dim)
 
     def __post_init__(self) -> None:
         flat = tuple(m for g in self.groups for m in g.members)
         object.__setattr__(self, "modes", flat)
+        object.__setattr__(self, "indices", np.array([m.indices for m in flat]))
+        self.indices.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -123,14 +143,8 @@ def build_basis(dimension: int, truncation: int) -> Basis:
             f"truncation {truncation} yields {truncation**dimension} modes, "
             f"cap is {MODE_CAP}"
         )
-    modes = []
-    if dimension == 1:
-        for j in range(1, truncation + 1):
-            modes.append(Mode((j,), -(j**2) * math.pi**2))
-    else:
-        for m in range(1, truncation + 1):
-            for n in range(1, truncation + 1):
-                modes.append(Mode((m, n), -(m**2 + n**2) * math.pi**2))
+    modes = [Mode(idx, -sum(j**2 for j in idx) * math.pi**2)
+             for idx in itertools.product(range(1, truncation + 1), repeat=dimension)]
     # group by eigenvalue, sorted strictly decreasing (0 > lam1 > lam2 > ...)
     modes.sort(key=lambda md: (-md.eigenvalue, md.indices))
     groups: list[list[Mode]] = []
@@ -251,21 +265,21 @@ class SpectralField:
             )
         object.__setattr__(self, "coefficients", coeffs)
 
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(pts.shape[0])
-        for c, mode in zip(self.coefficients, self.basis.modes):
-            if c != 0.0:
-                out += c * mode.eval(pts)
+    def _sum_modes(self, points: np.ndarray, gradients: bool) -> np.ndarray:
+        """sum_j c_j t(xi_j), one mode at a time in basis order, with t the
+        value (1, N) or, with gradients, every d/dx_s (dim, N)."""
+        nonzero = np.flatnonzero(self.coefficients)
+        tables = SineTables(self.basis.indices[nonzero], points, gradients)
+        out = np.zeros((self.basis.dimension if gradients else 1, tables.size))
+        for k, c in enumerate(self.coefficients[nonzero]):
+            out += c * tables(slice(k, k + 1))[..., 0, :]
         return out
 
+    def eval(self, points: np.ndarray) -> np.ndarray:
+        return self._sum_modes(points, gradients=False)[0]
+
     def grad(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((pts.shape[0], self.basis.dimension))
-        for c, mode in zip(self.coefficients, self.basis.modes):
-            if c != 0.0:
-                out += c * mode.grad(pts)
-        return out
+        return self._sum_modes(points, gradients=True).T
 
     @property
     def norm(self) -> float:
@@ -312,12 +326,11 @@ def grad_adjoint(g: VectorFieldSamples, basis: Basis) -> SpectralField:
     """
     if basis.dimension != g.grid.region.dimension:
         raise DomainError("basis and samples have different dimensions")
+    tables = SineTables(basis.indices, g.grid.points, gradients=True)
     coeffs = np.empty(len(basis))
-    pts = g.grid.points
-    wts = g.grid.weights
-    for pos, mode in enumerate(basis.modes):
-        dxi = mode.grad(pts)
-        coeffs[pos] = float(np.sum(wts * np.sum(g.components * dxi.T, axis=0)))
+    for pos in range(len(basis)):
+        dxi = tables(slice(pos, pos + 1))[:, 0]  # (dim, N)
+        coeffs[pos] = float(np.sum(g.grid.weights * np.sum(g.components * dxi, axis=0)))
     return SpectralField(basis, coeffs)
 
 

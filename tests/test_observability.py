@@ -36,6 +36,7 @@ from gradobs.spectral import (
     SpectralField,
     build_basis,
     grad_adjoint,
+    region_quadrature,
     restrict,
     sample_vector_field,
     whole_domain,
@@ -243,6 +244,43 @@ def test_stiffness_overlap_grows_with_region():
     d_full = grad_overlap_matrix(test_basis, test_basis, whole_domain(2))
     diff_eigs = np.linalg.eigvalsh(d_full - d_small)
     assert diff_eigs[0] > -1e-10 * diff_eigs[-1]
+
+
+@pytest.mark.parametrize(
+    "dimension,truncation,test_truncation",
+    [(1, 6, 3), (1, 6, 6), (1, 6, 9), (2, 4, 2), (2, 4, 4), (2, 4, 5)],
+)
+def test_overlap_matrices_match_per_mode_reference(dimension, truncation,
+                                                   test_truncation):
+    # the test basis below, at and above the basis truncation
+    basis = build_basis(dimension, truncation)
+    test_basis = build_basis(dimension, test_truncation)
+    region = Region((((0.1, 0.7), (0.2, 0.9))[:dimension],))
+    grid = region_quadrature(region, max(truncation, test_truncation))
+    w = grid.weights[None, :]
+    tq = np.stack([m.eval(grid.points) for m in test_basis.modes])
+    tj = np.stack([m.eval(grid.points) for m in basis.modes])
+    gq = np.stack([m.grad(grid.points) for m in test_basis.modes])  # (Q, N, dim)
+    gj = np.stack([m.grad(grid.points) for m in basis.modes])
+    r_ref = (tq * w) @ tj.T
+    d_ref = sum((gq[:, :, s] * w) @ gj[:, :, s].T for s in range(dimension))
+    r = overlap_matrix(test_basis, basis, region)
+    d = grad_overlap_matrix(test_basis, basis, region)
+    assert r.shape == d.shape == (len(test_basis), len(basis))
+    assert np.max(np.abs(r - r_ref)) <= 1e-14 * np.max(np.abs(r_ref))
+    assert np.max(np.abs(d - d_ref)) <= 1e-14 * np.max(np.abs(d_ref))
+
+
+def test_overlaps_reject_dimension_mismatch():
+    strip = Region((((0.0, 1.0), (0.0, 0.5)),))
+    one, two = build_basis(1, 3), build_basis(2, 3)
+    for overlap in (overlap_matrix, grad_overlap_matrix):
+        with pytest.raises(DomainError):
+            overlap(one, two, strip)  # must not pair x1 alone with 2-D modes
+        with pytest.raises(DomainError):
+            overlap(two, two, Region((((0.0, 0.5),),)))
+        with pytest.raises(DomainError):
+            overlap(one, one, strip)
 
 
 def test_conditioning_warning_fires_for_deep_truncation():

@@ -18,6 +18,7 @@ from gradobs.sensing import (
     counterexample_sensor,
     coupling,
     coupling_matrix,
+    coupling_tables,
     grad_coupling,
     observe,
 )
@@ -104,15 +105,13 @@ def test_coupling_matrix_consistency():
         Sensor(POINTWISE, (0.62, 0.27)),
     ))
     kappa = coupling_matrix(suite, basis)
-    grads = [coupling_matrix(suite, basis, s) for s in range(2)]
+    assert (coupling_tables(suite, basis.indices) == kappa).all()
+    grads = coupling_tables(suite, basis.indices, gradients=True)
     for i, sensor in enumerate(suite.sensors):
         for j, mode in enumerate(basis.modes):
             assert kappa[i, j] == coupling(sensor, mode)
             for s in range(2):
-                assert grads[s][i, j] == grad_coupling(sensor, mode, s)
-    for axis in (-1, 2):
-        with pytest.raises(DomainError):
-            coupling_matrix(suite, basis, axis)
+                assert grads[s, i, j] == grad_coupling(sensor, mode, s)
 
 
 def test_bilinear_table_reproduces_bilinear_function():
@@ -148,6 +147,26 @@ def test_grad_coupling_rejects_bad_axis():
     sensor = Sensor(POINTWISE, (0.4,))
     with pytest.raises(DomainError):
         grad_coupling(sensor, basis.modes[0], 1)
+
+
+def test_coupling_rejects_dimension_mismatch():
+    one, two = build_basis(1, 3), build_basis(2, 3)
+    strip = Region((((0.0, 1.0),),))
+    # a 2-D point must not couple through x1 alone, a 1-D point not index x2
+    for sensor, basis in [
+        (Sensor(POINTWISE, (0.3, 0.4)), one),
+        (Sensor(POINTWISE, (0.3,)), two),
+        (Sensor(ZONE, strip, lambda pts: np.ones(len(pts))), two),
+        (counterexample_sensor(), one),  # filaments are 2-D
+    ]:
+        with pytest.raises(DomainError):
+            coupling_matrix(SensorSuite((sensor,)), basis)
+        with pytest.raises(DomainError):
+            coupling_tables(SensorSuite((sensor,)), basis.indices, gradients=True)
+        with pytest.raises(DomainError):
+            coupling(sensor, basis.modes[0])
+        with pytest.raises(DomainError):
+            grad_coupling(sensor, basis.modes[0], 0)
 
 
 def test_adjoint_inject_channel_count():

@@ -10,6 +10,7 @@ from gradobs.mlf import LAPLACE_NODES, LAPLACE_WEIGHTS
 from gradobs.spectral import (
     Basis,
     Region,
+    SineTables,
     SpectralField,
     VectorFieldSamples,
     build_basis,
@@ -76,6 +77,52 @@ def test_gradient_matches_finite_differences():
             shift[axis] = h
             fd = (mode.eval(pts + shift) - mode.eval(pts - shift)) / (2 * h)
             assert np.max(np.abs(grad[:, axis] - fd)) < 1e-5
+
+
+@pytest.mark.parametrize("dimension,truncation", [(1, 200), (2, 6)])
+def test_basis_tables_match_mode_formulas(dimension, truncation):
+    # the tables multiply in the per-mode order: sqrt(2)**dim first, then
+    # axis by axis, (c * j pi) * cos on the differentiated axis; so equal bits
+    basis = build_basis(dimension, truncation)
+    pts = np.random.default_rng(11).uniform(0.0, 1.0, size=(37, dimension))
+    tables = SineTables(basis.indices, pts, gradients=True)
+    vals, grads = SineTables(basis.indices, pts)(), tables()
+    assert vals.shape == (len(basis), len(pts))
+    assert grads.shape == (dimension, len(basis), len(pts))
+    one = slice(len(basis) // 2, len(basis) // 2 + 1)  # one mode, same tables
+    assert (tables(one) == grads[:, one]).all()
+    assert (SineTables(basis.indices, pts)(one) == vals[one]).all()
+    for row, mode in enumerate(basis.modes):
+        value = np.full(len(pts), math.sqrt(2.0) ** dimension)
+        for axis, j in enumerate(mode.indices):
+            value = value * np.sin(j * np.pi * pts[:, axis])
+        assert (vals[row] == value).all()
+        assert (mode.eval(pts) == value).all()
+        for s in range(dimension):
+            col = np.full(len(pts), math.sqrt(2.0) ** dimension)
+            for axis, j in enumerate(mode.indices):
+                if axis == s:
+                    col = col * (j * np.pi) * np.cos(j * np.pi * pts[:, axis])
+                else:
+                    col = col * np.sin(j * np.pi * pts[:, axis])
+            assert (grads[s, row] == col).all()
+            assert (mode.grad(pts)[:, s] == col).all()
+
+
+def test_basis_tables_reject_point_dimension():
+    with pytest.raises(DomainError):
+        SineTables(build_basis(2, 3).indices, np.full((4, 1), 0.5))
+    with pytest.raises(DomainError):
+        SpectralField(build_basis(1, 3), np.ones(3)).eval(np.full((4, 2), 0.5))
+
+
+def test_basis_index_array_stays_out_of_equality():
+    a, b = build_basis(2, 3), build_basis(2, 3)
+    assert a.indices.shape == (9, 2)
+    assert [tuple(r) for r in a.indices] == [m.indices for m in a.modes]
+    assert a == b and hash(a) == hash(b)
+    with pytest.raises(ValueError):
+        a.indices[0, 0] = 5  # shared by every evaluation of the basis
 
 
 def test_grad_adjoint_recovers_eigenfunction_gradient():
