@@ -61,6 +61,7 @@ from .dynamics import (
     TimeGrid,
     WEIGHTING_COMPENSATED,
     WEIGHTING_NONE,
+    response_matrix,
     simulate,
     time_grid,
 )
@@ -632,15 +633,9 @@ def cmd_counterexample(experiment: Experiment, out_dir: str) -> int:
     )
     # Closed-form strip response on the eigenvalue -2 pi^2 mode.
     amplitude = 5.0 * math.sqrt(3.0) / (8.0 * math.pi)
-    predicted = np.array(
-        [
-            amplitude
-            * t ** (experiment.alpha - 1.0)
-            * mlf(experiment.alpha, experiment.alpha,
-                  -2.0 * math.pi**2 * t**experiment.alpha)
-            for t in grid.nodes
-        ]
-    )
+    predicted = amplitude * response_matrix(
+        experiment.alpha, [-2.0 * math.pi**2], grid.nodes
+    )[0]
     rel = float(np.max(
         np.abs(strip_report.channels[0] - predicted) / np.max(np.abs(predicted))
     ))

@@ -14,11 +14,12 @@ evaluator is specialized to the real line with ``z <= Z_MAX``:
   power series.  Orders alpha > 1 are rejected: there the asymptotic
   expansion omits more than ``exp(-|z|**(1/alpha))``.
 
-The density ``psi_alpha`` is the one-sided stable series
-``(1/pi) * sum (-1)**(n-1) theta**(-alpha*n-1) Gamma(n*alpha+1)/n! *
-sin(n*pi*alpha)`` and ``phi_alpha(theta) =
-theta**(-1-1/alpha)/alpha * psi_alpha(theta**(-1/alpha))`` is the Mainardi
-density whose moments are ``Gamma(1+nu)/Gamma(1+alpha*nu)``.
+The one-sided stable density ``psi_alpha`` and the Mainardi density
+``phi_alpha(theta) = theta**(-1-1/alpha)/alpha * psi_alpha(theta**(-1/alpha))``,
+whose moments are ``Gamma(1+nu)/Gamma(1+alpha*nu)``, both come from one
+double-precision quadrature of Kanter's positive integral over (0, pi),
+split at the integrand's peak (Nolan 1997): no series and no mpmath, with
+full relative accuracy deep into either tail.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ ASYMPTOTIC_SAFE_NATS = 34.0
 ASYMPTOTIC_TERMS = 400
 SERIES_CAP = 4000
 THETA_MIN = 0.05
-PSI_TERM_CAP = 500
-PSI_STOP_REL = 1e-14
+PHI_THETA_ZERO = 1e-250
 # Laplace-integral quadrature (gap branch): 24-point Gauss-Legendre panels,
 # graded geometrically in v = r**gamma from 1e-15 up to r = 1 and dyadic in r
 # from 1 out to 64, where exp(-r) is far below double precision
@@ -50,6 +50,12 @@ LAPLACE_R_EDGES = tuple(2.0**k for k in range(7))
 # for alpha > 1/2, extra edges at r* +- (1/4, 1, 4, 16, ...) dip half-widths
 LAPLACE_DIP_FIRST = 0.25
 LAPLACE_DIP_RATIO = 4.0
+# Kanter-integral quadrature (density) on the same 24-point panels
+KANTER_PEAK_STEP = 1e-9
+KANTER_FLOOR = 1e-15
+KANTER_BISECTIONS = 60
+KANTER_LOG_W_MIN = -665.0  # peak offsets from pi below exp(-665) are clamped
+KANTER_LOG_U_MAX = math.log(750.0)  # X A(0+) beyond: exp(-X A) underflows
 
 
 class AccuracyWarning(UserWarning):
@@ -85,13 +91,19 @@ def _mlf_series(alpha: float, beta: float, z: float) -> float:
     comp = 0.0
     log_az = math.log(abs(z))
     for k in range(1, SERIES_CAP + 1):
-        mag = math.exp(k * log_az - math.lgamma(alpha * k + beta))
+        log_mag = k * log_az - math.lgamma(alpha * k + beta)
+        mag = math.exp(log_mag) if log_mag < 709.7 else math.inf
         term = mag if z > 0.0 or k % 2 == 0 else -mag
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         if mag <= 1e-16 * abs(total) + 5e-324:
+            if math.isinf(total):
+                raise DomainError(
+                    f"E_{{alpha,beta}}(z) overflows double precision for "
+                    f"alpha={alpha}, beta={beta}, z={z}"
+                )
             return total
     raise AccuracyError(
         f"Mittag-Leffler series did not converge for alpha={alpha}, "
@@ -272,60 +284,76 @@ def mlf(alpha: float, beta: float, z: float) -> float:
     return _mlf_series_mp(alpha, beta, z, peak_nats)
 
 
-def _psi_series(alpha: float, theta: float) -> tuple[float, float, bool]:
-    """Stable-density series with a rounding-error estimate.
+def _kanter_shift(alpha: float, phi, w):
+    """log(A(phi) / A(0+)), from phi and its offset w = pi - phi.
 
-    Returns (value, absolute error estimate, converged flag).
+    Each sine takes the smaller of x and pi - x, formed from phi or from w,
+    and is divided by its leading term: the logs of phi then cancel exactly,
+    since alpha + (1-alpha) - 1 = 0, and nothing is lost next to 0 or pi."""
+    c = 1.0 - alpha
+    a = np.sin(np.minimum(alpha * phi, c * np.pi + alpha * w)) / (alpha * phi)
+    b = np.sin(np.minimum(c * phi, alpha * np.pi + c * w)) / (c * phi)
+    return (alpha * np.log(a) + c * np.log(b)
+            - np.log(np.sin(np.minimum(phi, w)) / phi)) / c
+
+
+def _kanter_integral(alpha: float, base: float, power: float) -> float:
+    """int_0^pi X A(phi) exp(-X A(phi)) dphi for X = base**power, where
+    A(phi) = [sin(alpha phi)**alpha sin((1-alpha) phi)**(1-alpha)
+    / sin(phi)]**(1/(1-alpha)) is Kanter's function (Ann. Probab. 3, 1975).
+
+    A increases from A(0+) = alpha**(alpha/(1-alpha)) (1-alpha) to +inf at
+    pi, so the positive integrand peaks once, where X A(phi*) = 1 (found by
+    bisection in log w, w = pi - phi), or at phi* = 0 when X A(0+) >= 1.
+    The rule runs in phi on [0, pi/2] and in w on [0, pi/2].  Panel edges
+    sit at the peak +- pi / 2**k down to KANTER_PEAK_STEP, and grade by 4**k
+    from pi/2 toward pi, where A blows up, down to KANTER_FLOOR; both floors
+    are in units of w* when the peak lies closer than 1 to pi.  Below pi/2,
+    X A is u0 A / A(0+) with u0 = X A(0+) from a power, so a deep tail
+    exp(-u0) keeps its relative accuracy.
     """
-    log_theta = math.log(theta)
-    total = 0.0
-    comp = 0.0
-    max_mag = 0.0
-    for n in range(1, PSI_TERM_CAP + 1):
-        log_mag = (-alpha * n - 1.0) * log_theta + math.lgamma(n * alpha + 1.0) \
-            - math.lgamma(n + 1.0)
-        if log_mag > 690.0:
-            return 0.0, math.inf, False
-        mag = math.exp(log_mag) / math.pi
-        max_mag = max(max_mag, mag)
-        term = mag * math.sin(n * math.pi * alpha)
-        if n % 2 == 0:
-            term = -term
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        # the sine factor vanishes on a sublattice for rational alpha, so the
-        # stopping rule watches the term envelope rather than the term itself
-        if mag < PSI_STOP_REL * abs(total):
-            return total, max_mag * n * 1e-17, True
-    return total, math.inf, False
+    c = 1.0 - alpha
+    log_u0 = power * math.log(base) + (alpha * math.log(alpha) + c * math.log(c)) / c
+    if log_u0 > KANTER_LOG_U_MAX:
+        return 0.0  # exp(-X A) underflows on all of (0, pi)
+    u0 = base**power * alpha ** (alpha / c) * c
+    lo, hi = KANTER_LOG_W_MIN, math.log(math.pi)
+    for _ in range(KANTER_BISECTIONS):  # log w* where X A(pi - w*) = 1
+        mid = 0.5 * (lo + hi)
+        w_mid = math.exp(mid)
+        if log_u0 + _kanter_shift(alpha, math.pi - w_mid, w_mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    w_star = math.exp(0.5 * (lo + hi))
+    phi_star = math.pi - w_star
+    half = 0.5 * math.pi
+    scale = min(1.0, w_star)
+    steps = math.pi * 0.5 ** np.arange(
+        math.ceil(math.log2(math.pi / (KANTER_PEAK_STEP * scale))) + 1)
+    steps = np.append(-steps, steps)
+    grading = half * 0.25 ** np.arange(
+        math.ceil(math.log(half / (KANTER_FLOOR * scale), 4.0)) + 1)
+    (phi, phi_weights), (w, w_weights) = (
+        gauss_panels(np.unique(np.append(e[(e > 0.0) & (e < half)], [0.0, half])),
+                     LAPLACE_NODES, LAPLACE_WEIGHTS)
+        for e in (phi_star + steps, np.append(w_star - steps, grading)))
+    shift = _kanter_shift(alpha, np.append(phi, np.pi - w), np.append(np.pi - phi, w))
+    y = log_u0 + shift
+    with np.errstate(over="ignore"):  # X A = inf gives exp(-inf) = 0
+        u = np.append(u0 * np.exp(shift[:phi.size]), np.exp(y[phi.size:]))
+    return float(np.append(phi_weights, w_weights) @ np.exp(y - u))
 
 
 def wright_psi(alpha: float, theta: float) -> float:
-    """One-sided stable density psi_alpha(theta) by its inverse-power series."""
+    """One-sided stable density psi_alpha(theta) by Kanter's integral,
+    psi = alpha / (pi (1-alpha) theta) * I(theta**(-alpha/(1-alpha)))."""
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"wright_psi requires alpha in (0, 1), got {alpha}")
     if theta < THETA_MIN:
-        raise DomainError(
-            f"theta={theta} below the supported minimum {THETA_MIN} "
-            "(series too slowly convergent)"
-        )
-    value, err, converged = _psi_series(alpha, theta)
-    if converged and err <= 1e-12 * max(abs(value), 1e-10):
-        return value
-    # Near the small-theta boundary the alternating terms cancel past double
-    # precision.  The density decays like exp(-B * theta**(-a/(1-a))) there,
-    # which fixes both an underflow clamp and the absolute target for an
-    # extended-precision rerun of the same series.
-    decay_nats = (
-        (1.0 - alpha)
-        * alpha ** (alpha / (1.0 - alpha))
-        * theta ** (-alpha / (1.0 - alpha))
-    )
-    if decay_nats > 575.0:
-        return 0.0  # below ~1e-250: vanishes at double precision
-    return _psi_mp(alpha, theta, math.exp(-(decay_nats + 65.0)))
+        raise DomainError(f"theta={theta} below the supported minimum {THETA_MIN}")
+    c = 1.0 - alpha
+    return alpha * _kanter_integral(alpha, theta, -alpha / c) / (math.pi * c * theta)
 
 
 def phi_alpha(alpha: float, theta: float) -> float:
@@ -338,113 +366,23 @@ def phi_alpha(alpha: float, theta: float) -> float:
     return theta ** (-1.0 - 1.0 / alpha) / alpha * wright_psi(alpha, arg)
 
 
-def _mainardi_mp(alpha: float, z: float, abs_tol: float = 0.0) -> float:
-    """Mainardi series sum (-z)**k / (k! Gamma(1 - alpha - alpha*k)) in mpmath."""
-    if z <= 0.0:
-        return rgamma(1.0 - alpha)
-    # largest-term estimate drives the working precision
-    k_peak = max(1.0, (z * alpha**alpha) ** (1.0 / (1.0 - alpha)))
-    peak_nats = k_peak * (1.0 - alpha)
-    if abs_tol > 0.0:
-        target_nats = -math.log(abs_tol)
-    else:
-        # full relative accuracy of the ~exp(-peak_nats) sized result
-        target_nats = peak_nats + 34.0
-    # precision must absorb the ~exp(peak_nats) term growth on top of the target
-    dps = int(0.4343 * (peak_nats + target_nats)) + 8
-    # truncation index from the double-precision term envelope
-    log_z = math.log(z)
-    cap = int(5 * k_peak) + 200
-    k_stop = cap
-    for k in range(int(k_peak) + 1, cap):
-        env = k * log_z - math.lgamma(k + 1.0) + math.lgamma(alpha * (k + 1) + 1.0)
-        if env < -target_nats - 2.3:
-            k_stop = k
-            break
-    with mp.workdps(dps):
-        zm = mp.mpf(z)
-        am = mp.mpf(alpha)
-        total = mp.mpf(0)
-        pw = mp.mpf(1)
-        for k in range(k_stop + 1):
-            if k:
-                pw = pw * (-zm) / k
-            # the rgamma argument must be formed in working precision: a
-            # double-rounded argument shifts sin(pi*x) enough to wreck the
-            # cancellation of the ~exp(peak_nats) peak terms
-            total += pw * mp.rgamma(1 - am * (k + 1))
-        return float(total)
-
-
-def _psi_mp(alpha: float, u: float, abs_tol: float) -> float:
-    """Extended-precision stable-density series for arguments below 1.
-
-    Much better conditioned than the Mainardi series at the same point: the
-    largest term grows like exp((1-alpha)*u**(-alpha/(1-alpha))) instead of
-    exp((1-alpha)*(alpha**alpha*u**-alpha)**(1/(1-alpha))).
-    """
-    log_u = math.log(u)
-    target_nats = -math.log(abs_tol)
-    # double-precision envelope scan fixes the peak size and truncation index
-    peak = 0.0
-    n_stop = 0
-    for n in range(1, 100000):
-        env = (-alpha * n - 1.0) * log_u + math.lgamma(n * alpha + 1.0) \
-            - math.lgamma(n + 1.0)
-        peak = max(peak, env)
-        if env < peak and env < -target_nats - 2.3:
-            n_stop = n
-            break
-    else:
-        raise AccuracyError(
-            f"extended-precision psi series too long for alpha={alpha}, u={u}"
-        )
-    dps = int(0.4343 * (peak + target_nats)) + 8
-    with mp.workdps(dps):
-        am = mp.mpf(alpha)
-        um = mp.mpf(u)
-        pi = mp.pi
-        step = um**(-am)
-        pw = 1 / um
-        fact = mp.mpf(1)
-        total = mp.mpf(0)
-        for n in range(1, n_stop + 1):
-            pw = pw * step
-            fact = fact * n
-            term = pw * mp.gamma(n * am + 1) / fact * mp.sin(n * pi * am)
-            total += -term if n % 2 == 0 else term
-        return float(total / pi)
-
-
-def phi_density(alpha: float, theta: float, abs_tol: float = 0.0) -> float:
-    """phi_alpha evaluated on all of (0, inf), switching series as needed.
-
-    The composition route is used whenever the stable series' tracked rounding
-    error meets the accuracy target; deep in the tail, where its alternating
-    terms cancel catastrophically, the extended-precision Mainardi series
-    takes over.  ``abs_tol`` relaxes the target to an absolute one, which
-    keeps tail evaluations cheap inside quadratures.
-    """
+def phi_density(alpha: float, theta: float) -> float:
+    """phi_alpha on all of [0, inf) by Kanter's integral,
+    phi = I(theta**(1/(1-alpha))) / (pi (1-alpha) theta)."""
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"phi_density requires alpha in (0, 1), got {alpha}")
     if theta < 0.0:
         raise DomainError(f"phi_density requires theta >= 0, got {theta}")
-    if theta == 0.0:
+    if theta < PHI_THETA_ZERO:
+        # phi(theta) = phi(0) - theta / Gamma(1 - 2 alpha) + ...: the first
+        # correction is far below double precision
         return rgamma(1.0 - alpha)
-    prefactor = theta ** (-1.0 - 1.0 / alpha) / alpha
-    u = theta ** (-1.0 / alpha)
-    value, err, converged = _psi_series(alpha, u)
-    if converged and prefactor * err <= max(abs_tol, 5e-15 * prefactor * abs(value)):
-        return prefactor * value
-    if abs_tol > 0.0 and u < 1.0:
-        return prefactor * _psi_mp(alpha, u, min(1e-3, abs_tol / prefactor))
-    return _mainardi_mp(alpha, theta, abs_tol)
+    c = 1.0 - alpha
+    return _kanter_integral(alpha, theta, 1.0 / c) / (math.pi * c * theta)
 
 
-@functools.lru_cache(maxsize=8192)
-def _phi_moment(alpha: float, theta: float) -> float:
-    """Cached density evaluation for the moment quadratures."""
-    return phi_density(alpha, theta, abs_tol=1e-11)
+# cached density evaluations for the moment quadratures
+_phi_moment = functools.lru_cache(maxsize=8192)(phi_density)
 
 
 def moment_check(alpha: float, nu: float) -> float:
@@ -454,11 +392,6 @@ def moment_check(alpha: float, nu: float) -> float:
         raise DomainError(f"moment order must be in [0, 4], got {nu}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"moment_check requires alpha in (0, 1), got {alpha}")
-
-    def integrand(theta: float) -> float:
-        if theta == 0.0:
-            return 0.0 if nu > 0.0 else phi_density(alpha, 0.0)
-        return theta**nu * _phi_moment(alpha, theta)
 
     # the cut covers every admissible moment order (theta**4 envelope), so the
     # node set depends only on alpha and cached density values are shared
@@ -470,7 +403,7 @@ def moment_check(alpha: float, nu: float) -> float:
     def quad(panels: int) -> float:
         total = 0.0
         for x, w in zip(*gauss_panels(np.linspace(0.0, cut, panels + 1))):
-            total += w * integrand(x)
+            total += w * x**nu * _phi_moment(alpha, x)
         return total
 
     coarse = quad(10)

@@ -42,6 +42,15 @@ def test_mlf_command_domain_error_exit_code(tmp_path, capsys):
     assert "numerical domain error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha,z", [("0.05", "5"), ("0.1", "4")])
+def test_mlf_command_overflow_exit_code(tmp_path, capsys, alpha, z):
+    code = main(["mlf", "--alpha", alpha, "--beta", alpha, f"--z={z}",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"overflows double precision for alpha={alpha}" in err
+
+
 @pytest.mark.parametrize("alpha", ["1.5", "nan"])
 def test_mlf_command_rejects_orders_outside_the_model(tmp_path, capsys, alpha):
     code = main(["mlf", "--alpha", alpha, "--beta", "1.5", "--z=-200",

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import gradobs.mlf as mlf_module
 from gradobs.errors import DomainError
 from gradobs.mlf import (
+    THETA_MIN,
     mlf,
     moment_check,
     phi_alpha,
@@ -208,6 +209,17 @@ def test_mlf_rejects_bad_arguments():
         mlf(0.5, 1.0, math.inf)
 
 
+def test_mlf_series_overflow_is_a_domain_error():
+    # a term past the double range used to raise OverflowError, and a sum
+    # past it returned inf
+    for alpha, beta, z in [(0.05, 0.05, 5.0), (0.1, 0.1, 4.0), (0.2, 1.0, 5.0)]:
+        with pytest.raises(DomainError, match=f"alpha={alpha}, beta={beta}"):
+            mlf(alpha, beta, z)
+    # just inside the range: E_{1/2,1/2}(z) = 1/sqrt(pi) + z exp(z**2) erfc(-z)
+    expected = 1.0 / math.sqrt(math.pi) + 5.0 * math.exp(25.0) * math.erfc(-5.0)
+    assert mlf(0.5, 0.5, 5.0) == pytest.approx(expected, rel=1e-12)
+
+
 def test_mlf_rejects_orders_outside_the_model():
     # for alpha > 1 the asymptotic branch dropped more than exp(-peak): it
     # returned -1.05682e-5 for (1.5, 1.5, -200), where the mpmath series gives
@@ -260,6 +272,138 @@ def test_wright_psi_rejects_small_argument():
         wright_psi(0.5, 0.01)
     with pytest.raises(DomainError):
         wright_psi(1.0, 1.0)
+
+
+def _mainardi_mp(alpha, theta, digits=40):
+    """phi_alpha(theta) = sum_k (-theta)**k / (k! Gamma(1 - alpha - alpha k))
+    in mpmath, at a precision that absorbs both the term peak and the decay
+    of the result; two runs 20 digits apart agree to `digits` digits."""
+    decay = 0.0
+    while True:
+        cut = decay + 2.31 * digits + 50.0
+        peak, k_stop = 0.0, 0
+        while True:
+            env = (k_stop * math.log(theta) - math.lgamma(k_stop + 1.0)
+                   + math.lgamma(alpha * (k_stop + 1)))
+            peak = max(peak, env)
+            if k_stop > 10 and env < -cut and env < peak:
+                break
+            k_stop += 1
+
+        def run(dps):
+            with mp.workdps(dps):
+                a, z = mp.mpf(alpha), mp.mpf(theta)
+                total, power = mp.mpf(0), mp.mpf(1)
+                for k in range(k_stop + 1):
+                    if k:
+                        power = power * (-z) / k
+                    total += power * mp.rgamma(1 - a * (k + 1))
+                return total
+
+        dps = int((peak + cut) / 2.3026) + 10
+        coarse, fine = run(dps), run(dps + 20)
+        if fine > 0 and abs(coarse - fine) <= mp.mpf(10) ** -digits * fine:
+            return fine
+        decay = max(2.0 * decay, 50.0, -float(mp.log(abs(fine))) if fine else 0.0)
+
+
+DENSITY_THETAS = (
+    0.001, 0.003, 0.01, 0.03, 0.1, 0.2, 0.4, 0.7, 1.0, 1.5, 2.0, 2.25, 2.5,
+    2.6, 3.0, 4.0, 5.0, 6.5, 8.0, 10.0, 12.0, 15.0,
+)
+# phi_alpha at DENSITY_THETAS, frozen from
+#   {a: tuple(float(_mainardi_mp(a, t)) for t in DENSITY_THETAS) ...},
+# where None marks a value below 1e-250 by Kanter's bound
+# phi <= u0 exp(-u0) / ((1-alpha) theta), u0 = theta**(1/(1-alpha))
+# alpha**(alpha/(1-alpha)) (1-alpha) >= 1.  Tails near 1e-250 need hundreds
+# of digits and thousands of terms, so only three cheap rows are rerun below
+DENSITY_ORACLE = {
+    0.1: (
+        0.9349201689733461, 0.933205373559657, 0.9272277581970277,
+        0.9103542799469407, 0.8536273310955519, 0.778540080389652,
+        0.6472370126532249, 0.4899430273252101, 0.37029046275149086,
+        0.23142825117505983, 0.14406688865856315, 0.11350660424933247,
+        0.08934734607418239, 0.08117031307818816, 0.055214685040576805,
+        0.020877028014907262, 0.007797266934475792, 0.001742996921611316,
+        0.00038093620796911726, 4.860528275392854e-05, 6.0070012216783806e-06,
+        2.4758363221339464e-07,
+    ),
+    0.25: (
+        0.8154848874225381, 0.8143576115174145, 0.8104208339611566,
+        0.7992473618116057, 0.7610082322273136, 0.708714468710336,
+        0.612243644780329, 0.48701171173568386, 0.38333541657068354,
+        0.2517249440385265, 0.16125108345458586, 0.12795134785429718,
+        0.10097740554834661, 0.09171802559192943, 0.06192208425161672,
+        0.02198996334047836, 0.007289297072506667, 0.0012410701358857015,
+        0.00018711315303530202, 1.2708213116565745e-05, 7.284317170210214e-07,
+        7.548026325891204e-09,
+    ),
+    0.4: (
+        0.6712870617092421, 0.6708507259633456, 0.6693181793118714,
+        0.6648941387335018, 0.6489085985290718, 0.6248639330634567,
+        0.5734871259864828, 0.4919333078817834, 0.4102335940438268,
+        0.2856884926272521, 0.18558227451010914, 0.14591332638229543,
+        0.11291112932636946, 0.10146024574972479, 0.06455724038163378,
+        0.017703699590908645, 0.00389660637991026, 0.00027432246000742475,
+        1.2574911565294458e-05, 1.1077506218995964e-07, 5.010794329556983e-10,
+        4.73788231103197e-14,
+    ),
+    0.5: (
+        0.5641894425003781, 0.5641883141226214, 0.5641754789844754,
+        0.5640626551714358, 0.5627808712130096, 0.5585758033944684,
+        0.5420673935524316, 0.4991418560723049, 0.4393912894677224,
+        0.3214655345976037, 0.20755374871029736, 0.15913697925038464,
+        0.1182605612236454, 0.10410399339803483, 0.05946514461181469,
+        0.010333492677046027, 0.0010891421151763548, 1.4594512691790851e-05,
+        6.349117335933279e-08, 7.835433265508668e-12, 1.3086506196246325e-16,
+        2.1006826890574942e-25,
+    ),
+    0.6: (
+        0.45099589940562856, 0.45133877554417245, 0.45253329756463423,
+        0.4558977123882316, 0.4670690619621377, 0.48119821179314876,
+        0.501690221927903, 0.5086247947876528, 0.48323543334806185,
+        0.377031490216195, 0.23387335110670507, 0.16753470082169744,
+        0.11216223259832639, 0.09367082442028059, 0.04052147222454105,
+        0.002054362698080632, 2.5504528476523856e-05, 1.7838420471980985e-09,
+        2.2673977499675397e-15, 2.906452584801119e-26, 5.499808664343233e-41,
+        4.817110367895378e-71,
+    ),
+    0.75: (
+        0.27609788512958844, 0.27666309477098416, 0.2786493610947242,
+        0.2843932291088357, 0.3052957509442536, 0.3372579884800382,
+        0.40763401985295844, 0.5195454072487847, 0.606598543590276,
+        0.5487378622264564, 0.2251400701489675, 0.09122407582516487,
+        0.024491540550029375, 0.012638239700876111, 0.0003512636102313409,
+        4.504628075192352e-12, 7.053234215183924e-29, 6.700484073142177e-82,
+        1.16120793807552e-187, None, None, None,
+    ),
+    0.9: (
+        0.10528815959853212, 0.10563827544005645, 0.1068763780105452,
+        0.11052569229536297, 0.1247327855016799, 0.14970970945688594,
+        0.22411249995914362, 0.4566697904831586, 1.0081467456212712,
+        0.45575251057063776, 7.819366916221752e-17, 2.3865984672538622e-55,
+        1.1210264892751052e-159, 1.1420921669323864e-236, None, None, None,
+        None, None, None, None, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(DENSITY_ORACLE))
+def test_density_against_mainardi_oracle(alpha):
+    for theta, expected in zip(DENSITY_THETAS, DENSITY_ORACLE[alpha]):
+        if expected is None:
+            assert phi_density(alpha, theta) < 1e-250
+            continue
+        assert phi_density(alpha, theta) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        if theta ** (-1.0 / alpha) >= THETA_MIN:
+            assert phi_alpha(alpha, theta) == pytest.approx(
+                expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha,theta", [(0.25, 1.0), (0.6, 2.0), (0.9, 0.7)])
+def test_density_oracle_rows_match_their_generator(alpha, theta):
+    expected = DENSITY_ORACLE[alpha][DENSITY_THETAS.index(theta)]
+    assert float(_mainardi_mp(alpha, theta)) == pytest.approx(expected, rel=1e-15)
 
 
 def test_moments_match_gamma_ratio():
