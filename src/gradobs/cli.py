@@ -1,11 +1,11 @@
 """Command-line experiment harness.
 
 One process per command; configs are single JSON documents (or named
-presets), observations are CSV with header `t,z_1..z_p` at 17 significant
-digits, fields export as CSV on a uniform 101 x 101 grid, and reports are
-JSON written atomically (temp + rename).  With a fixed config and seed every
-persisted artifact is byte-identical across runs; wall time goes to stderr
-only.
+presets).  Every CSV is a header line (`t,z_1,...,z_p` observations,
+`x1[,x2],g1[,g2]` fields on 101 points per axis, `z,value` for `mlf`), then
+rows of `%.17g` values, and one trailing newline; reports are JSON.  Every
+artifact is written atomically (temp + rename) and, with a fixed config and
+seed, byte-identical across runs; wall time goes to stderr only.
 
 Exit codes: 0 success, 2 config error, 3 numerical-domain error,
 4 non-convergence.
@@ -335,14 +335,21 @@ class Experiment:
 # ---------------------------------------------------------------- output ---
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gradobs-")
+def _csv(header: list[str], columns) -> str:
+    """The header line, then one row per index of the `columns`, every value
+    at 17 significant digits, and one trailing newline."""
+    row = ",".join(["%.17g"] * len(header))
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "\n".join([",".join(header), *(row % values for values in rows)]) + "\n"
+
+
+def _write(out_dir: str, name: str, text: str) -> None:
+    """Write `text` to out_dir/name atomically (temp + rename)."""
+    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".gradobs-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
+            handle.write(text)
+        os.replace(tmp, os.path.join(out_dir, name))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -366,7 +373,7 @@ def _jsonable(obj):
     return obj
 
 
-def _write_report(out_dir: str, command: str, config: dict, payload: dict) -> str:
+def _write_report(out_dir: str, command: str, config: dict, payload: dict) -> None:
     envelope = {
         "tool": "gradobs",
         "version": __version__,
@@ -374,23 +381,7 @@ def _write_report(out_dir: str, command: str, config: dict, payload: dict) -> st
         "config": _jsonable(config),
         "payload": _jsonable(payload),
     }
-    path = os.path.join(out_dir, "report.json")
-    _atomic_write(path, json.dumps(envelope, sort_keys=True, indent=2) + "\n")
-    return path
-
-
-def _g(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _write_observations(out_dir: str, record: ObservationRecord) -> str:
-    p = record.channels.shape[0]
-    lines = ["t," + ",".join(f"z_{i + 1}" for i in range(p))]
-    for k, t in enumerate(record.grid.nodes):
-        lines.append(",".join([_g(t)] + [_g(record.channels[i, k]) for i in range(p)]))
-    path = os.path.join(out_dir, "observations.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    _write(out_dir, "report.json", json.dumps(envelope, sort_keys=True, indent=2) + "\n")
 
 
 def read_observations(path: str, horizon: float) -> ObservationRecord:
@@ -430,23 +421,14 @@ def read_observations(path: str, horizon: float) -> ObservationRecord:
     return ObservationRecord(grid, data[:, 1:].T)
 
 
-def _write_gradient_grid(out_dir: str, name: str, field: SpectralField,
-                         region: Region) -> str:
-    """Write p_omega grad(field) on the uniform GRID_POINTS export grid."""
+def _gradient_csv(field: SpectralField, region: Region) -> str:
+    """p_omega grad(field) on the uniform GRID_POINTS-per-axis export grid."""
     axis = np.linspace(0.0, 1.0, GRID_POINTS)
-    if field.basis.dimension == 1:
-        pts = axis[:, None]
-        lines = ["x1,g1"]
-    else:
-        x1, x2 = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([x1.ravel(), x2.ravel()], axis=1)
-        lines = ["x1,x2,g1,g2"]
+    pts = np.stack([x.ravel() for x in np.meshgrid(
+        *[axis] * field.basis.dimension, indexing="ij")], axis=1)
     comps = field.grad(pts).T * region.contains(pts)[None, :]
-    for k in range(pts.shape[0]):
-        lines.append(",".join(_g(v) for v in [*pts[k], *comps[:, k]]))
-    path = os.path.join(out_dir, name)
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    names = [f"{v}{i + 1}" for v in "xg" for i in range(pts.shape[1])]
+    return _csv(names, [*pts.T, *comps])
 
 
 # -------------------------------------------------------------- commands ---
@@ -460,13 +442,11 @@ def _number_list(text: str) -> list[float]:
 
 
 def cmd_mlf(args, out_dir: str) -> int:
-    lines = ["z,value"]
-    for z in args.z:
-        lines.append(f"{_g(z)},{_g(mlf(args.alpha, args.beta, z))}")
-    text = "\n".join(lines) + "\n"
+    text = _csv(["z", "value"],
+                [args.z, [mlf(args.alpha, args.beta, z) for z in args.z]])
     sys.stdout.write(text)
     if args.save:
-        _atomic_write(os.path.join(out_dir, "mlf.csv"), text)
+        _write(out_dir, "mlf.csv", text)
     return 0
 
 
@@ -479,7 +459,9 @@ def cmd_simulate(experiment: Experiment, out_dir: str) -> int:
         noise_sigma=experiment.noise_sigma,
         noise_seed=experiment.noise_seed,
     )
-    _write_observations(out_dir, record)
+    channels = [f"z_{i + 1}" for i in range(record.channels.shape[0])]
+    _write(out_dir, "observations.csv",
+           _csv(["t", *channels], [record.grid.nodes, *record.channels]))
     weighted = record.channels**2 * record.grid.weights[None, :]
     payload = {
         "channel_sup_norms": np.max(np.abs(record.channels), axis=1),
@@ -591,7 +573,7 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
     result = solve(record, experiment.hum, context)
     state_coefficients = context.d_matrix.T @ result.potential.coefficients
     state = SpectralField(experiment.basis, state_coefficients)
-    _write_gradient_grid(out_dir, "gradient.csv", state, experiment.region)
+    _write(out_dir, "gradient.csv", _gradient_csv(state, experiment.region))
     payload = {
         "potential_coefficients": result.potential.coefficients,
         "state_coefficients": state_coefficients,
@@ -606,7 +588,7 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
         payload["relative_error"] = reconstruction_error(
             result.gradient, restrict_gradient(truth, experiment.region)
         )
-        _write_gradient_grid(out_dir, "gradient_true.csv", truth, experiment.region)
+        _write(out_dir, "gradient_true.csv", _gradient_csv(truth, experiment.region))
     _write_report(out_dir, "reconstruct", experiment.config, payload)
     if not result.converged:
         raise ConvergenceError(
@@ -660,7 +642,7 @@ def _load_config(args) -> dict:
         try:
             with open(args.config) as handle:
                 config = json.load(handle)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(

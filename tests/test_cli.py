@@ -86,6 +86,16 @@ def test_missing_config_is_a_config_error(tmp_path, capsys):
     ) == 2
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert str(path) in err
+
+
 def test_invalid_config_reports_field_name(tmp_path, capsys):
     config = preset("case2-pointwise")
     del config["alpha"]
@@ -297,6 +307,37 @@ def test_reconstruct_inline_reports_relative_error(tmp_path, capsys):
     assert len(lines) == 101 * 101 + 1
     assert lines[0] == "x1,x2,g1,g2"
     assert (tmp_path / "gradient_true.csv").exists()
+
+
+def _csv_rows(path, header):
+    """The value rows of a CSV artifact, after checking its header, its
+    single trailing newline and the %.17g form of every field."""
+    text = path.read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    lines = text[:-1].split("\n")
+    assert lines[0] == header
+    for line in lines[1:]:
+        for field in line.split(","):
+            assert field == "%.17g" % float(field)
+    return lines[1:]
+
+
+@pytest.mark.parametrize("name,header", [("heat-limit", "x1,g1"),
+                                         ("hum-synthetic", "x1,x2,g1,g2")])
+def test_csv_artifact_format(tmp_path, capsys, name, header):
+    assert main(["reconstruct", "--preset", name, "--out", str(tmp_path)]) == 0
+    dimension = header.count("x")
+    for grid in ("gradient.csv", "gradient_true.csv"):
+        assert len(_csv_rows(tmp_path / grid, header)) == 101**dimension
+    assert main(["simulate", "--preset", name, "--out", str(tmp_path)]) == 0
+    sensors = len(preset(name)["sensors"])
+    _csv_rows(tmp_path / "observations.csv",
+              ",".join(["t"] + [f"z_{i + 1}" for i in range(sensors)]))
+    capsys.readouterr()
+    assert main(["mlf", "--alpha", "0.5", "--beta", "0.5", "--z=-50,-2,-0.0,1",
+                 "--out", str(tmp_path), "--save"]) == 0
+    assert len(_csv_rows(tmp_path / "mlf.csv", "z,value")) == 4
+    assert (tmp_path / "mlf.csv").read_text() == capsys.readouterr().out
 
 
 def test_counterexample_command(tmp_path, capsys):

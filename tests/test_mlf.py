@@ -261,6 +261,14 @@ def test_phi_density_composition_route_agrees():
             )
 
 
+@pytest.mark.parametrize("alpha,theta", [(0.5, 1e-200), (0.1, 1e-40)])
+def test_phi_alpha_tiny_theta_is_a_domain_error(alpha, theta):
+    # theta**(-1/alpha) leaves the double range; phi_density covers these
+    with pytest.raises(DomainError, match=f"theta={theta}"):
+        phi_alpha(alpha, theta)
+    assert phi_density(alpha, theta) == pytest.approx(rgamma(1.0 - alpha))
+
+
 @settings(max_examples=40, deadline=None)
 @given(alpha=st.floats(0.2, 0.9), theta=st.floats(0.06, 20.0))
 def test_wright_psi_nonnegative(alpha, theta):
