@@ -14,6 +14,14 @@ evaluator is specialized to the real line with ``z <= Z_MAX``:
   power series.  Orders alpha > 1 are rejected: there the asymptotic
   expansion omits more than ``exp(-|z|**(1/alpha))``.
 
+Calls share (alpha, beta): a response matrix makes thousands at one pair.
+So the series' ``lgamma(alpha*k + beta)`` and the asymptotic coefficients
+``-1/Gamma(beta - alpha*k)`` with their envelopes ``lgamma(alpha*k + 1 -
+beta)`` live in per-(alpha, beta) tables behind a bounded LRU cache.  Each
+table grows on demand up to the largest k a call has reached.  The loops
+read the same values in the same order, so every result is bit-for-bit
+the one a table-free evaluation gives.
+
 The one-sided stable density ``psi_alpha`` and the Mainardi density
 ``phi_alpha(theta) = theta**(-1-1/alpha)/alpha * psi_alpha(theta**(-1/alpha))``,
 whose moments are ``Gamma(1+nu)/Gamma(1+alpha*nu)``, both come from one
@@ -40,6 +48,8 @@ ASYMPTOTIC_SAFE_NATS = 34.0
 ASYMPTOTIC_TERMS = 400
 SERIES_CAP = 4000
 THETA_MIN = 0.05
+TERM_TABLES = 16  # (alpha, beta) pairs whose term tables are kept
+LOG_PI = math.log(math.pi)
 PHI_THETA_ZERO = 1e-250
 # Laplace-integral quadrature (gap branch): 24-point Gauss-Legendre panels,
 # graded geometrically in v = r**gamma from 1e-15 up to r = 1 and dyadic in r
@@ -63,20 +73,33 @@ class AccuracyWarning(UserWarning):
 
 
 def rgamma(x: float) -> float:
-    """Reciprocal gamma function 1/Gamma(x), zero at the poles."""
+    """Reciprocal gamma function 1/Gamma(x), zero exactly at the poles."""
     if x > 0.5:
         if x > 170.0:
             return math.exp(-math.lgamma(x))
         return 1.0 / math.gamma(x)
-    n = round(x)
-    if abs(x - n) < 1e-12 and n <= 0:
+    if x == round(x):
         return 0.0
     # reflection: 1/Gamma(x) = Gamma(1-x) sin(pi x) / pi, with 1-x >= 0.5
-    s = math.sin(math.pi * x) / math.pi
+    s = _sin_pi(x) / math.pi
     lg = math.lgamma(1.0 - x)
     if lg > 700.0:
         return math.copysign(math.inf, s)
     return math.exp(lg) * s
+
+
+@functools.lru_cache(maxsize=TERM_TABLES)
+def _terms(alpha: float, beta: float) -> tuple[list, list]:
+    """The per-(alpha, beta) tables behind the series and asymptotic loops.
+
+    The first holds lgamma(alpha*k + beta), the second the pairs
+    (-1/Gamma(beta - alpha*k), lgamma(alpha*k + 1 - beta) or None below 2),
+    at index k - 1.  Both start empty and the loops fill them up to the
+    largest k any call has reached, so every value is the one the loop would
+    compute itself.  An entry is stored by slice assignment at its own index:
+    two threads filling the same entry store the same value once.
+    """
+    return [], []
 
 
 def _mlf_series(alpha: float, beta: float, z: float) -> float:
@@ -88,10 +111,15 @@ def _mlf_series(alpha: float, beta: float, z: float) -> float:
     total = rgamma(beta)
     if z == 0.0:
         return total
+    lgammas = _terms(alpha, beta)[0]
     comp = 0.0
     log_az = math.log(abs(z))
+    filled = len(lgammas)
     for k in range(1, SERIES_CAP + 1):
-        log_mag = k * log_az - math.lgamma(alpha * k + beta)
+        if k > filled:
+            lgammas[k - 1:k] = [math.lgamma(alpha * k + beta)]
+            filled = k
+        log_mag = k * log_az - lgammas[k - 1]
         mag = math.exp(log_mag) if log_mag < 709.7 else math.inf
         term = mag if z > 0.0 or k % 2 == 0 else -mag
         y = term - comp
@@ -232,9 +260,11 @@ def _mlf_laplace(alpha: float, beta: float, z: float) -> float:
 
 def _mlf_asymptotic(alpha: float, beta: float, z: float) -> float:
     """Asymptotic expansion for large negative z, truncated at the smallest term."""
+    terms = _terms(alpha, beta)[1]
     total = 0.0
     log_az = math.log(-z)
     best_env = math.inf
+    filled = len(terms)
     for k in range(1, ASYMPTOTIC_TERMS + 1):
         if k * log_az > 700.0:
             break
@@ -244,13 +274,19 @@ def _mlf_asymptotic(alpha: float, beta: float, z: float) -> float:
         # The envelope is only meaningful once its gamma argument clears the
         # pole strip (near a pole of the numerator gamma the sine vanishes
         # simultaneously and the actual coefficient stays finite).
-        total += -rgamma(beta - alpha * k) / z**k
-        arg = alpha * k + 1.0 - beta
-        if arg >= 2.0:
-            log_env = math.lgamma(arg) - k * log_az - math.log(math.pi)
+        if k > filled:
+            arg = alpha * k + 1.0 - beta
+            terms[k - 1:k] = [(-rgamma(beta - alpha * k),
+                               math.lgamma(arg) if arg >= 2.0 else None)]
+            filled = k
+        coef, lgamma_arg = terms[k - 1]
+        total += coef / z**k
+        if lgamma_arg is not None:
+            log_env = lgamma_arg - k * log_az - LOG_PI
             if log_env > best_env + 1.0:
                 break
-            best_env = min(best_env, log_env)
+            if log_env < best_env:
+                best_env = log_env
             if log_env < -40.0:
                 break
     return total

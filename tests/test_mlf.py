@@ -7,6 +7,7 @@ The branch tests compute theirs in the test with `_mp_series`.
 """
 
 import math
+import random
 import sys
 import types
 
@@ -53,11 +54,13 @@ def test_mlf_against_inverse_laplace_oracle(alpha, beta, z, expected):
     assert value == pytest.approx(expected, rel=5e-12, abs=0.0)
 
 
-def _mp_series(alpha, beta, z):
+def _mp_series(alpha, beta, z, dps=None):
     """E_{alpha,beta}(z) by its power series in mpmath, with the working
-    precision raised past the alternating-term peak exp(|z|**(1/alpha))."""
+    precision raised past the alternating-term peak exp(|z|**(1/alpha))
+    unless dps is given."""
     peak = abs(z) ** (1.0 / alpha)
-    dps = 30 + int(0.4343 * peak)
+    if dps is None:
+        dps = 30 + int(0.4343 * peak)
     with mp.workdps(dps):
         am, bm, zm = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
         tol = mp.mpf(10) ** (-(dps - 3))
@@ -116,6 +119,54 @@ def test_branch_seams_against_mp_series(alpha):
         assert mlf(alpha, alpha, z) == pytest.approx(
             _mp_series(alpha, alpha, z), rel=rel, abs=0.0
         ), peak_nats
+
+
+@pytest.mark.parametrize(
+    "alpha,rel", [(1.0 - 1e-12, 5e-5), (1.0 - 1e-10, 5e-8), (1.0 - 1e-9, 3e-8),
+                  (1.0 - 1e-7, 2e-10)]
+)
+def test_asymptotic_branch_next_to_integer_order(alpha, rel):
+    # the coefficients 1/Gamma(alpha - alpha k) lie (k-1)(1-alpha) from a
+    # pole.  rgamma used to return 0 within 1e-12 of a pole and to reflect
+    # through sin(pi x) with pi rounded, which left 0.92, 6e-7, 9e-8 and
+    # 7e-10 relative error at these alphas.  What remains is not rgamma's:
+    # the double argument alpha - alpha k is itself rounded by ~2e-16 against
+    # a pole distance of 2 (1-alpha) at k = 3, and at x = 49 the expansion
+    # drops the exponentially small part, ~exp(-49) absolute
+    for x in (49.0, 100.0):
+        assert mlf(alpha, alpha, -x) == pytest.approx(
+            _mp_series(alpha, alpha, -x, dps=120), rel=rel, abs=0.0
+        ), x
+
+
+def test_term_tables_leave_every_value_unchanged(monkeypatch):
+    # a value must not depend on which calls filled its (alpha, beta) tables
+    # or how often they were evicted: compare, over series and asymptotic
+    # arguments, against calls that each get empty tables of their own
+    tables = mlf_module._terms
+    maxsize = tables.cache_info().maxsize
+    assert maxsize >= 8  # the mlf-scan benchmark cycles through 4 alphas
+    args = [
+        (alpha, beta, z)
+        for alpha in (0.3, 0.8, 0.95)
+        for beta in (alpha, 1.0)
+        for z in [0.9, -0.5] + [_at_peak_nats(alpha, nats)
+                                for nats in (5.0, 8.99, 34.5, 60.0, 400.0)]
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(mlf_module, "_terms", lambda alpha, beta: ([], []))
+        reference = [mlf(*arg) for arg in args]
+    tables.cache_clear()
+    assert [mlf(*arg) for arg in args] == reference
+    fillers = [(0.1 + 0.05 * i, 0.5) for i in range(maxsize + 1)]
+    rng = random.Random(4)
+    for _ in range(2):
+        for i in rng.sample(range(len(args)), len(args)):
+            for alpha, beta in rng.choices(fillers, k=rng.randint(0, maxsize)):
+                mlf(alpha, beta, _at_peak_nats(alpha, rng.choice((3.0, 40.0))))
+                assert tables.cache_info().currsize <= maxsize
+            assert mlf(*args[i]) == reference[i], args[i]
+            assert tables.cache_info().currsize <= maxsize
 
 
 def test_gap_branch_uses_mpmath_only_at_integer_order(monkeypatch):
