@@ -14,6 +14,7 @@ keep every downstream integral finite on all of alpha in (0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,8 @@ def response_matrix(alpha: float, eigenvalues: np.ndarray, times: np.ndarray) ->
         raise DomainError(
             f"times must be positive (singular prefactor), got {times.min()}"
         )
+    if alpha == 1.0:  # mlf's exact branch, the scalar exp(lambda t), per entry
+        return np.vectorize(math.exp, otypes=[float])(np.outer(eigenvalues, times))
     out = np.empty((eigenvalues.size, times.size))
     ta = times**alpha
     pref = times ** (alpha - 1.0)

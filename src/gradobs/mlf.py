@@ -16,7 +16,8 @@ evaluator is specialized to the real line with ``z <= Z_MAX``:
 
 Calls share (alpha, beta): a response matrix makes thousands at one pair.
 So the series' ``lgamma(alpha*k + beta)`` and the asymptotic coefficients
-``-1/Gamma(beta - alpha*k)`` with their envelopes ``lgamma(alpha*k + 1 -
+``-1/Gamma(beta - alpha*k)`` (for beta = alpha reflected about the exact
+pole offset (k-1)(1-alpha)) with their envelopes ``lgamma(alpha*k + 1 -
 beta)`` live in per-(alpha, beta) tables behind a bounded LRU cache.  Each
 table grows on demand up to the largest k a call has reached.  The loops
 read the same values in the same order, so every result is bit-for-bit
@@ -276,8 +277,11 @@ def _mlf_asymptotic(alpha: float, beta: float, z: float) -> float:
         # simultaneously and the actual coefficient stays finite).
         if k > filled:
             arg = alpha * k + 1.0 - beta
-            terms[k - 1:k] = [(-rgamma(beta - alpha * k),
-                               math.lgamma(arg) if arg >= 2.0 else None)]
+            # beta = alpha: reflect about the exact pole offset (k-1)(1-alpha)
+            coef = -rgamma(beta - alpha * k) if beta != alpha else (
+                (-1) ** k * _sin_pi((k - 1) * (1.0 - alpha)) / math.pi
+                * math.exp(math.lgamma(arg)))
+            terms[k - 1:k] = [(coef, math.lgamma(arg) if arg >= 2.0 else None)]
             filled = k
         coef, lgamma_arg = terms[k - 1]
         total += coef / z**k

@@ -19,6 +19,7 @@ E_{alpha,alpha}(lambda_j s**alpha).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,11 +36,11 @@ from .sensing import SensorSuite, coupling_matrix, coupling_tables
 from .spectral import (
     Basis,
     Region,
-    SineTables,
     VectorFieldSamples,
+    axis_tables,
     build_basis,
     grad_adjoint,
-    region_quadrature,
+    interval_rule,
     restrict,
 )
 
@@ -186,17 +187,20 @@ def response_kernel_matrix(
 def _region_overlap(test_basis: Basis, basis: Basis, region: Region,
                     gradients: bool) -> np.ndarray:
     """sum_s int_omega t_s(xi_q) t_s(xi_j), t the value or, with gradients,
-    each d/dx_s, from one SineTables pass over the union of both bases'
-    modes on the region grid."""
-    if test_basis.dimension != basis.dimension:
-        raise DomainError("test basis and basis have different dimensions")
-    grid = region_quadrature(region, max(test_basis.truncation, basis.truncation))
-    union, rows = np.unique(np.vstack([test_basis.indices, basis.indices]),
-                            axis=0, return_inverse=True)
-    tq, tj = np.split(rows.ravel(), [len(test_basis)])
-    tables = SineTables(union, grid.points, gradients)()
-    return sum((t[tq] * grid.weights[None, :]) @ t[tj].T
-               for t in (tables if gradients else tables[None]))
+    each d/dx_s: per rectangle 2**dim times a product over the axes of 1-D
+    overlaps on the axis rule, sin-sin or, on the differentiated axis, the
+    derivatives' cos-cos."""
+    if not test_basis.dimension == basis.dimension == region.dimension:
+        raise DomainError("test basis, basis and region differ in dimension")
+    top = max(test_basis.truncation, basis.truncation)
+    pairs = [np.ix_(q - 1, j - 1) for q, j in zip(test_basis.indices.T, basis.indices.T)]
+    total = 0.0
+    for rect in region.rectangles:
+        one_d = [[((t * w) @ t.T)[pair] for t in axis_tables(np.arange(1, top + 1), x)]
+                 for pair, (x, w) in zip(pairs, (interval_rule(*iv, top) for iv in rect))]
+        for s in range(basis.dimension) if gradients else [None]:  # d/dx_s
+            total = total + math.prod(t[1 if a == s else 0] for a, t in enumerate(one_d))
+    return 2.0**basis.dimension * total
 
 
 def overlap_matrix(test_basis: Basis, basis: Basis, region: Region) -> np.ndarray:

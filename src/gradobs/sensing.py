@@ -4,9 +4,10 @@ A sensor is a (support, spatial distribution) pair producing one output
 channel: zone sensors integrate the state against an L^2 distribution on a
 rectangle, pointwise sensors evaluate at a point, and filament sensors
 integrate along an axis-aligned segment.  Each sensor is one linear
-functional on the state, realized as a weighted point set (a pointwise sensor
-is its location with weight 1), so it reduces to one coupling number per
-basis mode, or per mode and gradient axis.
+functional on the state, realized as a weighted tensor-product rule per
+rectangle (a pointwise sensor is its location, a 1 x 1 rule of weight 1),
+evaluated axis by axis into one coupling number per basis mode, or per mode
+and gradient axis.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .spectral import (
     Basis,
     Mode,
     Region,
-    SineTables,
     SpectralField,
+    axis_tables,
     interval_rule,
-    region_quadrature,
+    tensor_grid,
 )
 
 ZONE = "zone"
@@ -113,40 +114,57 @@ class SensorSuite:
         return len(self.sensors)
 
 
-def _weighted_points(sensor: Sensor, max_indices: np.ndarray):
-    """The sensor as weighted point sets for modes with the given max indices:
-    yields (modes selected, points (N, dim), quadrature weight times
-    distribution), one set for a point, one per distinct max index for a zone
-    or filament."""
+def _tensor_grids(sensor: Sensor, max_index: int) -> list:
+    """(per-axis nodes, W) grids: a zone's rectangles, a filament's n x 1 (1 x n
+    along axis 1), a point's 1 x 1.  W, of shape (n_1, ..., n_dim), is weight
+    times distribution, formed on the flat grid and then reshaped."""
     if sensor.kind == POINTWISE:
-        yield slice(None), np.array([sensor.geometry], dtype=float), np.ones(1)
-        return
-    for max_index in map(int, np.unique(max_indices)):
-        if sensor.kind == ZONE:
-            grid = region_quadrature(sensor.geometry, max_index)
-            pts, w = grid.points, grid.weights
-        else:
-            fil = sensor.geometry
-            s, w = interval_rule(*fil.interval, max_index)
-            pts = np.empty((s.size, 2))
-            pts[:, fil.axis] = s
-            pts[:, 1 - fil.axis] = fil.fixed
-        w = w * np.asarray(sensor.distribution(pts), dtype=float)
-        yield max_indices == max_index, pts, w
+        point = sensor.geometry
+        return [([np.array([c]) for c in point], np.ones((1,) * len(point)))]
+    if sensor.kind == ZONE:
+        rules = [[interval_rule(lo, hi, max_index) for lo, hi in rect]
+                 for rect in sensor.geometry.rectangles]
+    else:
+        fil = sensor.geometry
+        rules = [[interval_rule(*fil.interval, max_index),
+                  (np.array([fil.fixed]), np.ones(1))][::-1 if fil.axis else 1]]
+    pts, w = tensor_grid(rules)
+    shapes = [[x.size for x, _ in rule] for rule in rules]
+    parts = np.split(w * np.asarray(sensor.distribution(pts), dtype=float),
+                     np.cumsum([np.prod(n) for n in shapes])[:-1])
+    return [([x for x, _ in rule], part.reshape(n))
+            for rule, part, n in zip(rules, parts, shapes)]
 
 
 def coupling_tables(suite: SensorSuite, indices: np.ndarray,
                     gradients: bool = False) -> np.ndarray:
     """kappa[i, j] = (f_i, xi_j) for the modes with indices (M, dim) or, with
-    gradients, G[s, i, j] = (f_i, d(xi_j)/dx_s), from one SineTables pass per
-    sensor point set."""
-    shape = (len(suite), len(indices))
-    out = np.empty((indices.shape[1], *shape) if gradients else shape)
+    gradients, G[s, i, j] = (f_i, d(xi_j)/dx_s): each sensor grid's W, one set
+    for a point and one per distinct mode max index otherwise, summed axis by
+    axis against the sine tables (derivatives on axis s) of the modes' indices."""
+    dim = indices.shape[1]
+    max_indices = indices.max(axis=1)
+    out = np.zeros((dim if gradients else 1, len(suite), len(indices)))
     for i, sensor in enumerate(suite.sensors):
-        for sel, pts, w in _weighted_points(sensor, indices.max(axis=1)):
-            vals = SineTables(indices[sel], pts, gradients)()
-            out[..., i, sel] = np.sum(w * vals, axis=-1)
-    return out
+        point = sensor.kind == POINTWISE
+        for max_index in [max_indices.max()] if point else np.unique(max_indices):
+            sel = slice(None) if point else max_indices == max_index
+            js, rows = zip(*(np.unique(col, return_inverse=True)
+                             for col in indices[sel].T))
+            for nodes, w in _tensor_grids(sensor, int(max_index)):
+                if len(nodes) != dim:
+                    raise DomainError(f"{len(nodes)}-D sensor given for {dim}-D modes")
+                tables = [axis_tables(j, x) for j, x in zip(js, nodes)]
+                for k, s in enumerate(range(dim) if gradients else [None]):
+                    t = w
+                    for a, table in enumerate(tables):  # (n_a, ...) -> (..., J_a)
+                        # each sum runs along one contiguous row, so no entry
+                        # depends on which other modes share the pass
+                        t = np.multiply(np.moveaxis(t, 0, -1)[..., None, :],
+                                        table[1 if a == s else 0], order="C").sum(-1)
+                    out[k, i, sel] += t[rows]
+    out *= np.sqrt(2.0) ** dim
+    return out if gradients else out[0]
 
 
 def coupling(sensor: Sensor, mode: Mode) -> float:

@@ -10,6 +10,9 @@ Every quadrature in gradobs is the composite Gauss-Legendre rule
 `gauss_panels`; callers only choose its panel edges.  In space it has 8 nodes
 per panel and max(4, 2*max_index) panels per axis (`interval_rule`), which
 resolves the most oscillatory basis integrand with >= 4 nodes per half-wave.
+Each spatial rule is their tensor product per rectangle: couplings and
+overlaps run axis by axis on `axis_tables`, and the point-set evaluator
+`SineTables` serves only fields, `grad_adjoint` and `Mode`.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class Mode:
 
 
 class SineTables:
-    """The basis evaluator for modes with indices (M, dim) at points (N, dim).
+    """The point-set basis evaluator for modes (M, dim) at points (N, dim).
 
     sin(j pi x_a) and, with gradients, cos(j pi x_a) are tabulated once per
     axis a for every index j that occurs on it.  A call combines them into
@@ -227,6 +230,26 @@ def interval_rule(lo: float, hi: float, max_index: int) -> tuple[np.ndarray, np.
     return gauss_panels(np.linspace(lo, hi, max(MIN_PANELS, 2 * max_index) + 1))
 
 
+def axis_tables(js: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one-axis factors of the sine basis at the nodes x (n,): sin(j pi x)
+    and its derivative (j pi) cos(j pi x), each (J, n), for the indices js."""
+    j_pi = (np.asarray(js) * np.pi)[:, None]
+    phase = j_pi * x
+    return np.sin(phase), j_pi * np.cos(phase)
+
+
+def tensor_grid(rules: list) -> tuple[np.ndarray, np.ndarray]:
+    """Flat nodes (N, dim) and weights (N,) of tensor-product rules: one list
+    of per-axis (nodes, weights) pairs per rectangle, rectangles in order."""
+    pts, w = [], []
+    for rule in rules:
+        xs, ws = zip(*rule)
+        grid = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1)
+        pts.append(grid.reshape(-1, len(xs)))
+        w.append(functools.reduce(np.multiply.outer, ws).ravel())
+    return np.vstack(pts), np.concatenate(w)
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Tensor Gauss-Legendre nodes/weights over a Region."""
@@ -238,16 +261,9 @@ class QuadratureGrid:
 
 def region_quadrature(region: Region, max_index: int) -> QuadratureGrid:
     """Quadrature resolving modes with indices up to max_index."""
-    pts_parts = []
-    w_parts = []
-    for rect in region.rectangles:
-        xs, ws = zip(*(interval_rule(lo, hi, max_index) for lo, hi in rect))
-        pts = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1)
-        pts_parts.append(pts.reshape(-1, len(xs)))
-        w_parts.append(functools.reduce(np.multiply.outer, ws).ravel())
-    return QuadratureGrid(
-        region, np.vstack(pts_parts), np.concatenate(w_parts)
-    )
+    rules = [[interval_rule(lo, hi, max_index) for lo, hi in rect]
+             for rect in region.rectangles]
+    return QuadratureGrid(region, *tensor_grid(rules))
 
 
 @dataclass(frozen=True)

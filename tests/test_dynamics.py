@@ -24,6 +24,7 @@ from gradobs.dynamics import (
     simulate,
     time_grid,
 )
+from gradobs.mlf import mlf
 from gradobs.sensing import POINTWISE, Sensor, SensorSuite
 from gradobs.spectral import SpectralField, build_basis
 
@@ -94,6 +95,18 @@ def test_response_matrix_integer_order():
         response_matrix(0.5, [-PI2, 1.0], times)  # positive eigenvalue
     with pytest.raises(DomainError):
         response_matrix(1.5, lams, times)
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (1, 7), (9, 1), (1, 1)])
+def test_integer_order_responses_are_the_exact_branch_bits(shape):
+    # at alpha = 1 every entry is mlf's own exact-branch scalar exp(lambda t)
+    lams = -PI2 * np.arange(1, shape[0] + 1) ** 1.3
+    times = np.linspace(0.013, 1.7, shape[1]) ** 1.5
+    resp = response_matrix(1.0, lams, times)
+    assert resp.shape == shape
+    for j, lam in enumerate(lams):
+        for k, t in enumerate(times):
+            assert resp[j, k] == mlf(1.0, 1.0, lam * t)
 
 
 @pytest.mark.parametrize("alpha,j,k,expected", DUHAMEL_ORACLE)

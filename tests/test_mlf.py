@@ -129,14 +129,25 @@ def test_asymptotic_branch_next_to_integer_order(alpha, rel):
     # the coefficients 1/Gamma(alpha - alpha k) lie (k-1)(1-alpha) from a
     # pole.  rgamma used to return 0 within 1e-12 of a pole and to reflect
     # through sin(pi x) with pi rounded, which left 0.92, 6e-7, 9e-8 and
-    # 7e-10 relative error at these alphas.  What remains is not rgamma's:
-    # the double argument alpha - alpha k is itself rounded by ~2e-16 against
-    # a pole distance of 2 (1-alpha) at k = 3, and at x = 49 the expansion
-    # drops the exponentially small part, ~exp(-49) absolute
+    # 7e-10 relative error at these alphas.  The coefficients are now
+    # reflected about that offset (see the test below); what remains at
+    # x = 49 is the exponentially small part the expansion drops, ~exp(-49)
+    # absolute
     for x in (49.0, 100.0):
         assert mlf(alpha, alpha, -x) == pytest.approx(
             _mp_series(alpha, alpha, -x, dps=120), rel=rel, abs=0.0
         ), x
+
+
+@pytest.mark.parametrize("alpha", [1.0 - 1e-12, 1.0 - 1e-7])
+def test_asymptotic_coefficients_from_the_exact_pole_offset(alpha):
+    # with beta = alpha the k-th coefficient -1/Gamma(alpha - alpha k) sits
+    # (k-1)(1-alpha) from a pole; reflected about that offset, formed
+    # without the rounding of alpha k, it keeps full relative accuracy
+    # (4.3e-6 and 4.3e-11 relative error when taken from alpha - alpha k).
+    # At x = 100 the dropped exponentially small part is below 1e-43
+    assert mlf(alpha, alpha, -100.0) == pytest.approx(
+        _mp_series(alpha, alpha, -100.0, dps=200), rel=1e-12, abs=0.0)
 
 
 def test_term_tables_leave_every_value_unchanged(monkeypatch):

@@ -246,16 +246,24 @@ def test_stiffness_overlap_grows_with_region():
     assert diff_eigs[0] > -1e-10 * diff_eigs[-1]
 
 
+ONE_RECTANGLE = (((0.1, 0.7), (0.2, 0.9)),)
+TWO_RECTANGLES = (((0.05, 0.45), (0.2, 0.9)), ((0.5, 0.95), (0.0, 0.6)))
+
+
 @pytest.mark.parametrize(
-    "dimension,truncation,test_truncation",
-    [(1, 6, 3), (1, 6, 6), (1, 6, 9), (2, 4, 2), (2, 4, 4), (2, 4, 5)],
+    "dimension,truncation,test_truncation,rectangles",
+    [pytest.param(*case, ONE_RECTANGLE, id="-".join(map(str, case)))
+     for case in [(1, 6, 3), (1, 6, 6), (1, 6, 9), (2, 4, 2), (2, 4, 4), (2, 4, 5)]]
+    + [pytest.param(1, 6, 4, TWO_RECTANGLES, id="1-6-4-two-rectangles"),
+       pytest.param(2, 4, 5, TWO_RECTANGLES, id="2-4-5-two-rectangles")],
 )
 def test_overlap_matrices_match_per_mode_reference(dimension, truncation,
-                                                   test_truncation):
-    # the test basis below, at and above the basis truncation
+                                                   test_truncation, rectangles):
+    # the test basis below, at and above the basis truncation; the overlaps
+    # sum per rectangle, the reference over the region's flat grid
     basis = build_basis(dimension, truncation)
     test_basis = build_basis(dimension, test_truncation)
-    region = Region((((0.1, 0.7), (0.2, 0.9))[:dimension],))
+    region = Region(tuple(rect[:dimension] for rect in rectangles))
     grid = region_quadrature(region, max(truncation, test_truncation))
     w = grid.weights[None, :]
     tq = np.stack([m.eval(grid.points) for m in test_basis.modes])

@@ -22,7 +22,13 @@ from gradobs.sensing import (
     grad_coupling,
     observe,
 )
-from gradobs.spectral import Region, SpectralField, build_basis
+from gradobs.spectral import (
+    Region,
+    SpectralField,
+    build_basis,
+    interval_rule,
+    region_quadrature,
+)
 
 
 def test_pointwise_coupling_is_evaluation():
@@ -84,6 +90,29 @@ def test_observe_adjoint_inject_duality():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def _flat_couplings(sensor, basis):
+    """The couplings as flat per-point sums sum w f t(xi_j), t the value and
+    each d/dx_s, on the sensor's points for each mode's max index: region
+    quadrature for a zone, segment nodes for a filament, the point itself."""
+    out = np.empty((1 + basis.dimension, len(basis)))
+    for j, mode in enumerate(basis.modes):
+        top = max(mode.indices)
+        if sensor.kind == ZONE:
+            grid = region_quadrature(sensor.geometry, top)
+            pts, w = grid.points, grid.weights * sensor.distribution(grid.points)
+        elif sensor.kind == FILAMENT:
+            fil = sensor.geometry
+            s, w = interval_rule(*fil.interval, top)
+            pts = np.full((s.size, 2), fil.fixed)
+            pts[:, fil.axis] = s
+            w = w * sensor.distribution(pts)
+        else:
+            pts, w = np.array([sensor.geometry]), np.ones(1)
+        out[0, j] = np.sum(w * mode.eval(pts))
+        out[1:, j] = w @ mode.grad(pts)
+    return out
+
+
 def test_coupling_matrix_consistency():
     basis = build_basis(1, 3)
     suite = SensorSuite((Sensor(POINTWISE, (0.3,)), Sensor(POINTWISE, (0.8,))))
@@ -92,26 +121,40 @@ def test_coupling_matrix_consistency():
     for i, sensor in enumerate(suite.sensors):
         for j, mode in enumerate(basis.modes):
             assert kappa[i, j] == coupling(sensor, mode)
-    # every sensor kind, values and both gradient axes, entry by entry
+    # every sensor kind, values and both gradient axes, entry by entry, and
+    # against the flat per-point sums, which evaluate each mode on the
+    # flattened rule with `Mode.eval`/`grad` instead of axis by axis
     x = np.linspace(0.0, 1.0, 6)
-    basis = build_basis(2, 4)
-    suite = SensorSuite((
+    suites = [(build_basis(2, 4), (
         Sensor(ZONE, Region((((0.1, 0.4), (0.2, 0.7)),)),
                lambda pts: np.sin(2.0 * pts[:, 0]) + pts[:, 1]),
         Sensor(ZONE, Region((((0.5, 0.9), (0.0, 0.3)), ((0.5, 0.9), (0.6, 1.0)))),
                BilinearTable(x, x, 1.0 + np.outer(x, x**2))),
+        Sensor(ZONE, Region((((0.05, 0.35), (0.4, 0.95)),)),
+               lambda pts: np.full(len(pts), 1.7)),
         Sensor(FILAMENT, Filament(axis=0, interval=(0.2, 0.8), fixed=0.35),
                lambda pts: np.cos(np.pi * pts[:, 0])),
+        Sensor(FILAMENT, Filament(axis=1, interval=(0.1, 0.75), fixed=0.6),
+               lambda pts: 1.0 + pts[:, 1] ** 2),
         Sensor(POINTWISE, (0.62, 0.27)),
-    ))
-    kappa = coupling_matrix(suite, basis)
-    assert (coupling_tables(suite, basis.indices) == kappa).all()
-    grads = coupling_tables(suite, basis.indices, gradients=True)
-    for i, sensor in enumerate(suite.sensors):
-        for j, mode in enumerate(basis.modes):
-            assert kappa[i, j] == coupling(sensor, mode)
-            for s in range(2):
-                assert grads[s, i, j] == grad_coupling(sensor, mode, s)
+    )), (build_basis(1, 7), (
+        Sensor(ZONE, Region((((0.15, 0.55),), ((0.6, 0.9),))),
+               lambda pts: np.exp(pts[:, 0])),
+        Sensor(POINTWISE, (0.43,)),
+    ))]
+    for basis, sensors in suites:
+        suite = SensorSuite(sensors)
+        kappa = coupling_matrix(suite, basis)
+        assert (coupling_tables(suite, basis.indices) == kappa).all()
+        grads = coupling_tables(suite, basis.indices, gradients=True)
+        for i, sensor in enumerate(suite.sensors):
+            for j, mode in enumerate(basis.modes):
+                assert kappa[i, j] == coupling(sensor, mode)
+                for s in range(basis.dimension):
+                    assert grads[s, i, j] == grad_coupling(sensor, mode, s)
+            ref = _flat_couplings(sensor, basis)
+            for got, want in zip([kappa[i], *grads[:, i]], ref):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_bilinear_table_reproduces_bilinear_function():
