@@ -61,6 +61,7 @@ from .dynamics import (
     TimeGrid,
     WEIGHTING_COMPENSATED,
     WEIGHTING_NONE,
+    check_weighting,
     response_matrix,
     simulate,
     time_grid,
@@ -331,6 +332,12 @@ class Experiment:
     def grid(self) -> TimeGrid:
         return time_grid(self.alpha, self.horizon, self.time_panels)
 
+    def time_weighting(self) -> str:
+        """The weighting of a command that integrates in time; one that
+        leaves the response non-square-integrable is a config mistake."""
+        _build("config.weighting", check_weighting, self.alpha, self.weighting)
+        return self.weighting
+
 
 # ---------------------------------------------------------------- output ---
 
@@ -423,10 +430,10 @@ def read_observations(path: str, horizon: float) -> ObservationRecord:
 
 def _gradient_csv(field: SpectralField, region: Region) -> str:
     """p_omega grad(field) on the uniform GRID_POINTS-per-axis export grid."""
-    axis = np.linspace(0.0, 1.0, GRID_POINTS)
-    pts = np.stack([x.ravel() for x in np.meshgrid(
-        *[axis] * field.basis.dimension, indexing="ij")], axis=1)
-    comps = field.grad(pts).T * region.contains(pts)[None, :]
+    axes = [np.linspace(0.0, 1.0, GRID_POINTS)] * field.basis.dimension
+    pts = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
+    comps = field.grid_gradient(axes).reshape(len(axes), -1) \
+        * region.contains(pts)[None, :]
     names = [f"{v}{i + 1}" for v in "xg" for i in range(pts.shape[1])]
     return _csv(names, [*pts.T, *comps])
 
@@ -505,7 +512,7 @@ def cmd_strategic(experiment: Experiment, out_dir: str) -> int:
             experiment.horizon,
             experiment.region,
             truncation=experiment.gram_truncation,
-            weighting=experiment.weighting,
+            weighting=experiment.time_weighting(),
         )
         payload.update(
             verdict=gram.positive_definite,
@@ -525,7 +532,7 @@ def cmd_gram(experiment: Experiment, out_dir: str) -> int:
         experiment.horizon,
         experiment.region,
         truncation=experiment.gram_truncation,
-        weighting=experiment.weighting,
+        weighting=experiment.time_weighting(),
         kind=experiment.gram_kind,
     )
     payload = {
@@ -550,7 +557,7 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
         experiment.horizon,
         experiment.region,
         truncation=experiment.potential_truncation,
-        weighting=experiment.weighting,
+        weighting=experiment.time_weighting(),
     )
     truth = None
     if observations is not None:

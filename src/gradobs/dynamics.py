@@ -144,7 +144,8 @@ def simulate(
     return ObservationRecord(grid, channels, noise_sigma, noise_seed)
 
 
-def _check_weighting(alpha: float, weighting: str) -> None:
+def check_weighting(alpha: float, weighting: str) -> None:
+    """A known weighting that keeps the time integrands integrable at alpha."""
     if weighting not in (WEIGHTING_NONE, WEIGHTING_COMPENSATED):
         raise DomainError(f"unknown weighting {weighting!r}")
     if weighting == WEIGHTING_NONE and alpha <= 0.5:
@@ -185,7 +186,7 @@ def duhamel_weight(
     """
     if b <= 0.0:
         raise DomainError(f"horizon must be positive, got {b}")
-    _check_weighting(alpha, weighting)
+    check_weighting(alpha, weighting)
     s, wq = _point_kernel_mesh(0.0, 0.5 * b, alpha)
     fjl, fkl = response_matrix(alpha, [lambda_j, lambda_k], s)
     fjr, fkr = response_matrix(alpha, [lambda_j, lambda_k], b - s)
@@ -211,7 +212,7 @@ def response_gram_weight(
     """
     if b <= 0.0:
         raise DomainError(f"horizon must be positive, got {b}")
-    _check_weighting(alpha, weighting)
+    check_weighting(alpha, weighting)
     nodes, wq = _point_kernel_mesh(0.0, b, alpha)
     fj, fk = response_matrix(alpha, [lambda_j, lambda_k], nodes)
     w = np.ones_like(nodes)
@@ -229,7 +230,7 @@ def gram_time_mesh(alpha: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 def time_weight(alpha: float, nodes: np.ndarray, weighting: str) -> np.ndarray:
     """Compensation factor w(s) applied to each output sample."""
-    _check_weighting(alpha, weighting)
+    check_weighting(alpha, weighting)
     if weighting == WEIGHTING_COMPENSATED:
         return np.asarray(nodes, dtype=float) ** (2.0 * (1.0 - alpha))
     return np.ones_like(np.asarray(nodes, dtype=float))

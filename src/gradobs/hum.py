@@ -309,8 +309,7 @@ def reconstruction_error(
     if reconstructed.components.shape != truth.components.shape:
         raise DomainError("fields must share one quadrature grid")
     diff = reconstructed.components - truth.components
-    w = truth.grid.weights
-    err = float(np.sqrt(np.sum(w * np.sum(diff**2, axis=0))))
+    err = VectorFieldSamples(truth.grid, diff).norm
     ref = truth.norm
     return err / ref if ref > 0.0 else err
 

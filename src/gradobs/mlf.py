@@ -37,7 +37,6 @@ import functools
 import math
 import warnings
 
-import mpmath as mp
 import numpy as np
 
 from .errors import AccuracyError, DomainError
@@ -144,8 +143,11 @@ def _mlf_series_mp(alpha: float, beta: float, z: float, peak_nats: float) -> flo
     """Power series in extended precision for the alpha = 1 cancellation gap.
 
     Only ever called with peak_nats in (SERIES_SAFE_NATS, ASYMPTOTIC_SAFE_NATS),
-    so both the precision and the term count stay small.
+    so both the precision and the term count stay small.  mpmath is imported
+    here, its only use, so importing gradobs does not load it.
     """
+    import mpmath as mp
+
     dps = 25 + int(0.4343 * peak_nats)
     cap = int(6.0 * peak_nats / alpha) + 100
     with mp.workdps(dps):

@@ -270,22 +270,3 @@ def gram_regional(
         gram += rows @ v @ rows.T
     return _spectrum_report(COMPONENT, gram, test_modes)
 
-
-def output_energy(
-    state_coefficients: np.ndarray,
-    basis: Basis,
-    suite: SensorSuite,
-    alpha: float,
-    b: float,
-    weighting: str = "none",
-) -> float:
-    """int_0^b w(t) ||z(t)||**2 dt for the state with the given coefficients.
-
-    This is the forward quadratic form whose null directions are the
-    unobservable initial states.
-    """
-    c = np.asarray(state_coefficients, dtype=float)
-    v = response_kernel_matrix(alpha, basis.eigenvalues, b, weighting)
-    kappa = coupling_matrix(suite, basis)
-    mmat = v * (kappa.T @ kappa)
-    return float(c @ mmat @ c)

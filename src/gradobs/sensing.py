@@ -21,9 +21,10 @@ from .spectral import (
     Basis,
     Mode,
     Region,
-    SpectralField,
     axis_tables,
+    contract,
     interval_rule,
+    tensor_blocks,
     tensor_grid,
 )
 
@@ -129,11 +130,8 @@ def _tensor_grids(sensor: Sensor, max_index: int) -> list:
         rules = [[interval_rule(*fil.interval, max_index),
                   (np.array([fil.fixed]), np.ones(1))][::-1 if fil.axis else 1]]
     pts, w = tensor_grid(rules)
-    shapes = [[x.size for x, _ in rule] for rule in rules]
-    parts = np.split(w * np.asarray(sensor.distribution(pts), dtype=float),
-                     np.cumsum([np.prod(n) for n in shapes])[:-1])
-    return [([x for x, _ in rule], part.reshape(n))
-            for rule, part, n in zip(rules, parts, shapes)]
+    blocks = tensor_blocks(w * np.asarray(sensor.distribution(pts), dtype=float), rules)
+    return [([x for x, _ in rule], block) for rule, block in zip(rules, blocks)]
 
 
 def coupling_tables(suite: SensorSuite, indices: np.ndarray,
@@ -156,25 +154,13 @@ def coupling_tables(suite: SensorSuite, indices: np.ndarray,
                     raise DomainError(f"{len(nodes)}-D sensor given for {dim}-D modes")
                 tables = [axis_tables(j, x) for j, x in zip(js, nodes)]
                 for k, s in enumerate(range(dim) if gradients else [None]):
-                    t = w
-                    for a, table in enumerate(tables):  # (n_a, ...) -> (..., J_a)
-                        # each sum runs along one contiguous row, so no entry
-                        # depends on which other modes share the pass
-                        t = np.multiply(np.moveaxis(t, 0, -1)[..., None, :],
-                                        table[1 if a == s else 0], order="C").sum(-1)
-                    out[k, i, sel] += t[rows]
+                    out[k, i, sel] += contract(w, tables, s)[rows]
     out *= np.sqrt(2.0) ** dim
     return out if gradients else out[0]
 
 
-def coupling(sensor: Sensor, mode: Mode) -> float:
-    """Per-mode output factor (f, xi_mode) over the sensor support."""
-    suite, indices = SensorSuite((sensor,)), np.array([mode.indices])
-    return float(coupling_tables(suite, indices)[0, 0])
-
-
 def grad_coupling(sensor: Sensor, mode: Mode, axis: int) -> float:
-    """Same quadrature against d(xi_mode)/dx_axis (axis is 0-based)."""
+    """(f, d(xi_mode)/dx_axis) over the sensor support (axis is 0-based)."""
     if not 0 <= axis < len(mode.indices):
         raise DomainError(f"axis {axis} invalid in {len(mode.indices)}-D")
     suite, indices = SensorSuite((sensor,)), np.array([mode.indices])
@@ -182,21 +168,8 @@ def grad_coupling(sensor: Sensor, mode: Mode, axis: int) -> float:
 
 
 def coupling_matrix(suite: SensorSuite, basis: Basis) -> np.ndarray:
-    """kappa[i, j] = coupling(sensor_i, mode_j), in basis mode order."""
+    """kappa[i, j] = (f_i, xi_j), in basis mode order."""
     return coupling_tables(suite, basis.indices)
-
-
-def observe(state: SpectralField, suite: SensorSuite) -> np.ndarray:
-    """Output vector z = kappa c of the state with coefficients c."""
-    return coupling_matrix(suite, state.basis) @ state.coefficients
-
-
-def adjoint_inject(z: np.ndarray, suite: SensorSuite, basis: Basis) -> SpectralField:
-    """Spectral realization of the adjoint output map C*: c = kappa^T z."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (len(suite),):
-        raise DomainError(f"expected {len(suite)} channel values, got {z.shape}")
-    return SpectralField(basis, coupling_matrix(suite, basis).T @ z)
 
 
 def counterexample_sensor() -> Sensor:

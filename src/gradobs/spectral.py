@@ -10,9 +10,10 @@ Every quadrature in gradobs is the composite Gauss-Legendre rule
 `gauss_panels`; callers only choose its panel edges.  In space it has 8 nodes
 per panel and max(4, 2*max_index) panels per axis (`interval_rule`), which
 resolves the most oscillatory basis integrand with >= 4 nodes per half-wave.
-Each spatial rule is their tensor product per rectangle: couplings and
-overlaps run axis by axis on `axis_tables`, and the point-set evaluator
-`SineTables` serves only fields, `grad_adjoint` and `Mode`.
+Each spatial rule is their tensor product per rectangle, and `axis_tables`
+is the one basis evaluator: couplings, overlaps, fields on tensor grids and
+`grad_adjoint` contract its per-axis sine and derivative tables axis by axis
+(`contract`), and `Mode` multiplies one row of each at scattered points.
 """
 
 from __future__ import annotations
@@ -44,52 +45,25 @@ class Mode:
         if not self.indices or any(j < 1 for j in self.indices):
             raise DomainError(f"mode indices must be >= 1, got {self.indices}")
 
+    def _product(self, points: np.ndarray, s: int | None = None) -> np.ndarray:
+        """sqrt(2)**dim times one `axis_tables` row per axis at the points
+        (N, dim), multiplied in axis order, the derivative row on axis s."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != len(self.indices):
+            raise DomainError(f"{pts.shape[1]}-D points given for "
+                              f"{len(self.indices)}-D mode {self.indices}")
+        rows = (axis_tables([j], x)[1 if a == s else 0][0]
+                for a, (j, x) in enumerate(zip(self.indices, pts.T)))
+        return math.prod(rows, start=math.sqrt(2.0) ** len(self.indices))
+
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Eigenfunction values; points has shape (N, dim)."""
-        return SineTables(np.array([self.indices]), points)()[0]
+        return self._product(points)
 
     def grad(self, points: np.ndarray) -> np.ndarray:
         """Analytic gradient, shape (N, dim)."""
-        return SineTables(np.array([self.indices]), points, gradients=True)()[:, 0].T
-
-
-class SineTables:
-    """The point-set basis evaluator for modes (M, dim) at points (N, dim).
-
-    sin(j pi x_a) and, with gradients, cos(j pi x_a) are tabulated once per
-    axis a for every index j that occurs on it.  A call combines them into
-    the values (m, N) or, with gradients, every d/dx_s (dim, m, N) of the
-    selected modes (all by default), each in one order of factors:
-    sqrt(2)**dim first, then axis by axis, with (c * j pi) * cos(j pi x_s)
-    on the differentiated axis s.
-    """
-
-    def __init__(self, indices: np.ndarray, points: np.ndarray,
-                 gradients: bool = False) -> None:
-        self.indices = np.asarray(indices, dtype=int)
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.indices.shape[1]:
-            raise DomainError(f"{pts.shape[1]}-D points given for "
-                              f"{self.indices.shape[1]}-D modes")
-        self.size = pts.shape[0]
-        js, self.rows = zip(*(np.unique(col, return_inverse=True)
-                              for col in self.indices.T))
-        phase = [(j * np.pi)[:, None] * pts[:, axis] for axis, j in enumerate(js)]
-        self.sin = [np.sin(p) for p in phase]  # (J_axis, N) per axis
-        self.cos = [np.cos(p) for p in phase] if gradients else None
-
-    def __call__(self, modes=slice(None)) -> np.ndarray:
-        idx = self.indices[modes]
-        rows = [r[modes] for r in self.rows]
-        dim = idx.shape[1]
-        diff = [None] if self.cos is None else range(dim)  # axis s per product
-        out = np.full((len(diff), idx.shape[0], self.size), math.sqrt(2.0) ** dim)
-        for col, s in zip(out, diff):
-            for axis in range(dim):
-                if axis == s:
-                    col *= (idx[:, axis] * np.pi)[:, None]
-                col *= (self.cos if axis == s else self.sin)[axis][rows[axis]]
-        return out[0] if self.cos is None else out
+        return np.stack([self._product(points, s) for s in range(len(self.indices))],
+                        axis=1)
 
 
 @dataclass(frozen=True)
@@ -238,6 +212,18 @@ def axis_tables(js: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(phase), j_pi * np.cos(phase)
 
 
+def contract(w: np.ndarray, tables: list, s: int | None = None) -> np.ndarray:
+    """Sum an array w (n_1, ..., n_dim) over its axes against one table pair
+    of `axis_tables` per axis, each table (J_a, n_a), the derivative table on
+    axis s: the (J_1, ..., J_dim) array of tensor-grid sums."""
+    for a, table in enumerate(tables):  # (n_a, ...) -> (..., J_a)
+        # each sum runs along one contiguous row, so no entry depends on
+        # which other modes share the pass
+        w = np.multiply(np.moveaxis(w, 0, -1)[..., None, :],
+                        table[1 if a == s else 0], order="C").sum(-1)
+    return w
+
+
 def tensor_grid(rules: list) -> tuple[np.ndarray, np.ndarray]:
     """Flat nodes (N, dim) and weights (N,) of tensor-product rules: one list
     of per-axis (nodes, weights) pairs per rectangle, rectangles in order."""
@@ -250,20 +236,30 @@ def tensor_grid(rules: list) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(pts), np.concatenate(w)
 
 
+def tensor_blocks(values: np.ndarray, rules: list) -> list:
+    """A per-point array (..., N) on `tensor_grid(rules)` split into its
+    rectangles' blocks (..., n_1, ..., n_dim)."""
+    shapes = [[x.size for x, _ in rule] for rule in rules]
+    parts = np.split(values, np.cumsum([math.prod(n) for n in shapes])[:-1], axis=-1)
+    return [part.reshape(*part.shape[:-1], *n) for part, n in zip(parts, shapes)]
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor Gauss-Legendre nodes/weights over a Region."""
+    """Tensor Gauss-Legendre nodes/weights over a Region, with the
+    per-rectangle per-axis (nodes, weights) rules they flatten."""
 
     region: Region
     points: np.ndarray  # (N, dim)
     weights: np.ndarray  # (N,)
+    rules: list = field(repr=False, compare=False)
 
 
 def region_quadrature(region: Region, max_index: int) -> QuadratureGrid:
     """Quadrature resolving modes with indices up to max_index."""
     rules = [[interval_rule(lo, hi, max_index) for lo, hi in rect]
              for rect in region.rectangles]
-    return QuadratureGrid(region, *tensor_grid(rules))
+    return QuadratureGrid(region, *tensor_grid(rules), rules)
 
 
 @dataclass(frozen=True)
@@ -281,26 +277,19 @@ class SpectralField:
             )
         object.__setattr__(self, "coefficients", coeffs)
 
-    def _sum_modes(self, points: np.ndarray, gradients: bool) -> np.ndarray:
-        """sum_j c_j t(xi_j), one mode at a time in basis order, with t the
-        value (1, N) or, with gradients, every d/dx_s (dim, N)."""
-        nonzero = np.flatnonzero(self.coefficients)
-        tables = SineTables(self.basis.indices[nonzero], points, gradients)
-        out = np.zeros((self.basis.dimension if gradients else 1, tables.size))
-        for k, c in enumerate(self.coefficients[nonzero]):
-            out += c * tables(slice(k, k + 1))[..., 0, :]
-        return out
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        return self._sum_modes(points, gradients=False)[0]
-
-    def grad(self, points: np.ndarray) -> np.ndarray:
-        return self._sum_modes(points, gradients=True).T
-
-    @property
-    def norm(self) -> float:
-        """L2(Omega) norm via Parseval."""
-        return float(np.linalg.norm(self.coefficients))
+    def grid_gradient(self, axes: list) -> np.ndarray:
+        """Every d/dx_s (dim, n_1, ..., n_dim) on the tensor grid of the
+        per-axis nodes: the coefficients as a dense (T, ..., T) array,
+        contracted with the sine tables, the derivative table on axis s."""
+        dim, top = self.basis.dimension, self.basis.truncation
+        if len(axes) != dim:
+            raise DomainError(f"{len(axes)}-D grid given for a {dim}-D field")
+        dense = np.zeros((top,) * dim)
+        dense[tuple(self.basis.indices.T - 1)] = self.coefficients
+        tables = [[t.T for t in axis_tables(np.arange(1, top + 1), np.asarray(x, float))]
+                  for x in axes]  # (n_a, T): the sums run over the mode index
+        return math.sqrt(2.0) ** dim * np.stack(
+            [contract(dense, tables, s) for s in range(dim)])
 
 
 @dataclass(frozen=True)
@@ -338,15 +327,20 @@ def grad_adjoint(g: VectorFieldSamples, basis: Basis) -> SpectralField:
     """Adjoint gradient (minus divergence with Dirichlet boundary).
 
     Coefficient on xi equals sum_s int g_s * d(xi)/dx_s, the boundary term of
-    the integration by parts vanishing on the zero-trace eigenfunctions.
+    the integration by parts vanishing on the zero-trace eigenfunctions: per
+    rectangle, weight times g_s contracted with the sine tables, the
+    derivative table on axis s.
     """
     if basis.dimension != g.grid.region.dimension:
         raise DomainError("basis and samples have different dimensions")
-    tables = SineTables(basis.indices, g.grid.points, gradients=True)
-    coeffs = np.empty(len(basis))
-    for pos in range(len(basis)):
-        dxi = tables(slice(pos, pos + 1))[:, 0]  # (dim, N)
-        coeffs[pos] = float(np.sum(g.grid.weights * np.sum(g.components * dxi, axis=0)))
+    js = np.arange(1, basis.truncation + 1)
+    total = 0.0
+    for rule, wg in zip(g.grid.rules,
+                        tensor_blocks(g.grid.weights * g.components, g.grid.rules)):
+        tables = [axis_tables(js, x) for x, _ in rule]
+        for s, block in enumerate(wg):
+            total = total + contract(block, tables, s)
+    coeffs = math.sqrt(2.0) ** basis.dimension * total[tuple(basis.indices.T - 1)]
     return SpectralField(basis, coeffs)
 
 
@@ -360,4 +354,6 @@ def restrict(g: VectorFieldSamples, region: Region) -> VectorFieldSamples:
 def restrict_gradient(field: SpectralField, region: Region) -> VectorFieldSamples:
     """p_omega grad(field), sampled on the region's own quadrature grid."""
     grid = region_quadrature(region, field.basis.truncation)
-    return VectorFieldSamples(grid, field.grad(grid.points).T)
+    blocks = [field.grid_gradient([x for x, _ in rule]) for rule in grid.rules]
+    return VectorFieldSamples(grid, np.hstack(
+        [b.reshape(len(b), -1) for b in blocks]))

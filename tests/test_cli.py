@@ -5,6 +5,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -107,14 +109,41 @@ def test_invalid_config_reports_field_name(tmp_path, capsys):
     assert "alpha" in err
 
 
-def test_unweighted_small_alpha_is_a_numerical_domain_error(tmp_path, capsys):
+def test_unweighted_small_alpha_is_a_config_error(tmp_path, capsys):
     config = preset("hum-synthetic")
     config["alpha"] = 0.4  # reconstruction kernel needs the compensated weight
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code = main(["reconstruct", "--config", str(path), "--out", str(tmp_path)])
-    assert code == 3
-    assert "compensated" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config.weighting" in err and "compensated" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["counterexample", "counterexample-strip"])
+def test_time_integrals_of_the_unweighted_counterexample_exit_2(tmp_path, capsys,
+                                                                name):
+    # alpha = 0.5 with no weighting: only the commands that integrate the
+    # response in time reject it; simulate and counterexample sample it
+    for command, expected in [("gram", 2), ("strategic", 2), ("reconstruct", 2),
+                              ("simulate", 0), ("counterexample", 0)]:
+        code = main([command, "--preset", name, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == expected, command
+        assert "Traceback" not in err
+        assert ("config.weighting" in err) == (expected == 2), command
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # a fresh interpreter: the test oracles import mpmath into this one
+    probe = "import sys, gradobs.cli; print('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"),
+         os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def _set(config, path, value):

@@ -16,7 +16,6 @@ from gradobs.observability import (
     grad_overlap_matrix,
     gram_regional,
     kernel_test,
-    output_energy,
     overlap_matrix,
     response_kernel_matrix,
     strategic_test_1d,
@@ -29,6 +28,7 @@ from gradobs.sensing import (
     Sensor,
     SensorSuite,
     counterexample_sensor,
+    coupling_matrix,
     grad_coupling,
 )
 from gradobs.spectral import (
@@ -189,8 +189,18 @@ def test_gradient_gram_annihilates_invisible_direction():
     assert abs(form) < 1e-14 * report.largest_eigenvalue
 
 
+def _output_energy(coefficients, basis, suite):
+    """int_0^1 ||z(t)||**2 dt of the state with the given coefficients at
+    alpha = 0.8: the time quadrature of its simulated channels on the
+    Gramians' mesh (unweighted, so every weight is the quadrature weight)."""
+    nodes, wq = gram_time_mesh(0.8, 1.0)
+    record = simulate(SpectralField(basis, coefficients), suite, 0.8,
+                      TimeGrid(1.0, nodes, wq))
+    return float(np.sum(wq[None, :] * record.channels**2))
+
+
 def test_gradient_gram_quadratic_form_is_output_energy():
-    # a^T G a equals the weighted output energy of the pulled-back state
+    # a^T G a equals the output energy of the pulled-back state D^T a
     basis = build_basis(2, 3)
     region = Region((((0.0, 1.0), (0.0, 0.5)),))
     suite = _pointwise_suite((0.31, 0.57), (0.72, 0.23))
@@ -202,23 +212,20 @@ def test_gradient_gram_quadratic_form_is_output_energy():
     rng = np.random.default_rng(2)
     for _ in range(5):
         a = rng.normal(size=report.matrix.shape[0])
-        energy = output_energy(d.T @ a, basis, suite, 0.8, 1.0)
+        energy = _output_energy(d.T @ a, basis, suite)
         assert float(a @ report.matrix @ a) == pytest.approx(energy, rel=1e-12)
 
 
 def test_output_energy_matches_time_quadrature_of_channels():
+    # the Gramians' form c^T (V o kappa^T kappa) c against simulated channels
     basis = build_basis(1, 4)
     suite = _pointwise_suite((0.29,), (0.81,))
     rng = np.random.default_rng(9)
     coeffs = rng.normal(size=len(basis))
-    nodes, wq = gram_time_mesh(0.8, 1.0)
-    record = simulate(
-        SpectralField(basis, coeffs), suite, 0.8, TimeGrid(1.0, nodes, wq)
-    )
-    direct = float(np.sum(wq[None, :] * record.channels**2))
-    assert output_energy(coeffs, basis, suite, 0.8, 1.0) == pytest.approx(
-        direct, rel=1e-12
-    )
+    kappa = coupling_matrix(suite, basis)
+    v = response_kernel_matrix(0.8, basis.eigenvalues, 1.0, "none")
+    form = float(coeffs @ (v * (kappa.T @ kappa)) @ coeffs)
+    assert form == pytest.approx(_output_energy(coeffs, basis, suite), rel=1e-12)
 
 
 def test_strategic_verdict_matches_gram_nullity_at_matched_truncation():

@@ -1,4 +1,4 @@
-"""Sensor couplings, the output operator and its adjoint."""
+"""Sensor couplings: closed forms, per-point references and validation."""
 
 import math
 
@@ -14,30 +14,31 @@ from gradobs.sensing import (
     Sensor,
     SensorSuite,
     ZONE,
-    adjoint_inject,
     counterexample_sensor,
-    coupling,
     coupling_matrix,
     coupling_tables,
     grad_coupling,
-    observe,
 )
 from gradobs.spectral import (
     Region,
-    SpectralField,
     build_basis,
     interval_rule,
     region_quadrature,
 )
 
 
+def _couplings(sensor, basis):
+    """The value couplings of one sensor with every mode of the basis."""
+    return coupling_tables(SensorSuite((sensor,)), basis.indices)[0]
+
+
 def test_pointwise_coupling_is_evaluation():
     basis = build_basis(1, 4)
     c = 0.37
     sensor = Sensor(POINTWISE, (c,))
-    for j, mode in enumerate(basis.modes, start=1):
+    for j, got in enumerate(_couplings(sensor, basis), start=1):
         expected = math.sqrt(2.0) * math.sin(j * math.pi * c)
-        assert coupling(sensor, mode) == pytest.approx(expected, rel=1e-14)
+        assert got == pytest.approx(expected, rel=1e-14)
 
 
 def test_pointwise_grad_coupling_closed_form():
@@ -56,38 +57,21 @@ def test_zone_coupling_closed_form():
         ZONE, Region((((a, b),),)), lambda pts: np.ones(pts.shape[0])
     )
     basis = build_basis(1, 6)
-    for j, mode in enumerate(basis.modes, start=1):
+    for j, got in enumerate(_couplings(sensor, basis), start=1):
         expected = math.sqrt(2.0) * (
             math.cos(j * math.pi * a) - math.cos(j * math.pi * b)
         ) / (j * math.pi)
-        assert coupling(sensor, mode) == pytest.approx(expected, abs=1e-13)
+        assert got == pytest.approx(expected, abs=1e-13)
 
 
 def test_filament_coupling_selects_first_transverse_mode():
     # sin(pi x2) on {x1 = 1/2}: coupling is sin(j pi / 2) * delta_{k,1}
     sensor = counterexample_sensor()
     basis = build_basis(2, 4)
-    for mode in basis.modes:
+    for mode, got in zip(basis.modes, _couplings(sensor, basis)):
         j, k = mode.indices
         expected = math.sin(j * math.pi / 2.0) if k == 1 else 0.0
-        assert coupling(sensor, mode) == pytest.approx(expected, abs=1e-13)
-
-
-def test_observe_adjoint_inject_duality():
-    # <C y, z>_{R^p} equals <y, C* z>_{L^2} for random states and channels
-    basis = build_basis(2, 3)
-    suite = SensorSuite(
-        (
-            Sensor(POINTWISE, (0.31, 0.57)),
-            counterexample_sensor(),
-        )
-    )
-    rng = np.random.default_rng(11)
-    y = SpectralField(basis, rng.normal(size=len(basis)))
-    z = rng.normal(size=len(suite))
-    lhs = float(observe(y, suite) @ z)
-    rhs = float(y.coefficients @ adjoint_inject(z, suite, basis).coefficients)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert got == pytest.approx(expected, abs=1e-13)
 
 
 def _flat_couplings(sensor, basis):
@@ -120,7 +104,8 @@ def test_coupling_matrix_consistency():
     assert kappa.shape == (2, 3)
     for i, sensor in enumerate(suite.sensors):
         for j, mode in enumerate(basis.modes):
-            assert kappa[i, j] == coupling(sensor, mode)
+            one = np.array([mode.indices])  # the mode alone in its pass
+            assert kappa[i, j] == coupling_tables(SensorSuite((sensor,)), one)[0, 0]
     # every sensor kind, values and both gradient axes, entry by entry, and
     # against the flat per-point sums, which evaluate each mode on the
     # flattened rule with `Mode.eval`/`grad` instead of axis by axis
@@ -149,7 +134,8 @@ def test_coupling_matrix_consistency():
         grads = coupling_tables(suite, basis.indices, gradients=True)
         for i, sensor in enumerate(suite.sensors):
             for j, mode in enumerate(basis.modes):
-                assert kappa[i, j] == coupling(sensor, mode)
+                one = np.array([mode.indices])  # the mode alone in its pass
+                assert kappa[i, j] == coupling_tables(SensorSuite((sensor,)), one)[0, 0]
                 for s in range(basis.dimension):
                     assert grads[s, i, j] == grad_coupling(sensor, mode, s)
             ref = _flat_couplings(sensor, basis)
@@ -207,13 +193,5 @@ def test_coupling_rejects_dimension_mismatch():
         with pytest.raises(DomainError):
             coupling_tables(SensorSuite((sensor,)), basis.indices, gradients=True)
         with pytest.raises(DomainError):
-            coupling(sensor, basis.modes[0])
-        with pytest.raises(DomainError):
             grad_coupling(sensor, basis.modes[0], 0)
 
-
-def test_adjoint_inject_channel_count():
-    basis = build_basis(1, 2)
-    suite = SensorSuite((Sensor(POINTWISE, (0.4,)),))
-    with pytest.raises(DomainError):
-        adjoint_inject(np.ones(2), suite, basis)

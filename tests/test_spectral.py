@@ -10,9 +10,9 @@ from gradobs.mlf import LAPLACE_NODES, LAPLACE_WEIGHTS
 from gradobs.spectral import (
     Basis,
     Region,
-    SineTables,
     SpectralField,
     VectorFieldSamples,
+    axis_tables,
     build_basis,
     gauss_panels,
     grad_adjoint,
@@ -81,39 +81,48 @@ def test_gradient_matches_finite_differences():
 
 @pytest.mark.parametrize("dimension,truncation", [(1, 200), (2, 6)])
 def test_basis_tables_match_mode_formulas(dimension, truncation):
-    # the tables multiply in the per-mode order: sqrt(2)**dim first, then
-    # axis by axis, (c * j pi) * cos on the differentiated axis; so equal bits
+    # axis_tables holds sin(j pi x) and (j pi) * cos(j pi x); a mode is
+    # sqrt(2)**dim times one row per axis, multiplied in axis order, with the
+    # derivative row on the differentiated axis; so equal bits
     basis = build_basis(dimension, truncation)
     pts = np.random.default_rng(11).uniform(0.0, 1.0, size=(37, dimension))
-    tables = SineTables(basis.indices, pts, gradients=True)
-    vals, grads = SineTables(basis.indices, pts)(), tables()
-    assert vals.shape == (len(basis), len(pts))
-    assert grads.shape == (dimension, len(basis), len(pts))
-    one = slice(len(basis) // 2, len(basis) // 2 + 1)  # one mode, same tables
-    assert (tables(one) == grads[:, one]).all()
-    assert (SineTables(basis.indices, pts)(one) == vals[one]).all()
-    for row, mode in enumerate(basis.modes):
+    js = np.arange(1, truncation + 1)
+    for axis in range(dimension):
+        sines, derivatives = axis_tables(js, pts[:, axis])
+        assert sines.shape == derivatives.shape == (truncation, len(pts))
+        for j in js:
+            assert (sines[j - 1] == np.sin(j * np.pi * pts[:, axis])).all()
+            assert (derivatives[j - 1]
+                    == (j * np.pi) * np.cos(j * np.pi * pts[:, axis])).all()
+    for mode in basis.modes:
         value = np.full(len(pts), math.sqrt(2.0) ** dimension)
         for axis, j in enumerate(mode.indices):
             value = value * np.sin(j * np.pi * pts[:, axis])
-        assert (vals[row] == value).all()
         assert (mode.eval(pts) == value).all()
+        assert mode.grad(pts).shape == (len(pts), dimension)
         for s in range(dimension):
             col = np.full(len(pts), math.sqrt(2.0) ** dimension)
             for axis, j in enumerate(mode.indices):
                 if axis == s:
-                    col = col * (j * np.pi) * np.cos(j * np.pi * pts[:, axis])
+                    col = col * ((j * np.pi) * np.cos(j * np.pi * pts[:, axis]))
                 else:
                     col = col * np.sin(j * np.pi * pts[:, axis])
-            assert (grads[s, row] == col).all()
             assert (mode.grad(pts)[:, s] == col).all()
 
 
 def test_basis_tables_reject_point_dimension():
+    mode = build_basis(2, 3).modes[4]
     with pytest.raises(DomainError):
-        SineTables(build_basis(2, 3).indices, np.full((4, 1), 0.5))
+        mode.eval(np.full((4, 1), 0.5))
     with pytest.raises(DomainError):
-        SpectralField(build_basis(1, 3), np.ones(3)).eval(np.full((4, 2), 0.5))
+        mode.grad(np.full((4, 3), 0.5))
+    with pytest.raises(DomainError):
+        SpectralField(build_basis(1, 3), np.ones(3)).grid_gradient([np.ones(4)] * 2)
+    with pytest.raises(DomainError):
+        SpectralField(build_basis(2, 3), np.ones(9)).grid_gradient([np.ones(4)])
+    samples = sample_vector_field(lambda pts: pts, whole_domain(2), 3)
+    with pytest.raises(DomainError):
+        grad_adjoint(samples, build_basis(1, 3))
 
 
 def test_basis_index_array_stays_out_of_equality():
@@ -188,8 +197,9 @@ def test_parseval_identity():
     rng = np.random.default_rng(3)
     field = SpectralField(basis, rng.normal(size=len(basis)))
     grid = region_quadrature(whole_domain(2), 3)
-    quad_norm = math.sqrt(float(np.sum(grid.weights * field.eval(grid.points) ** 2)))
-    assert quad_norm == pytest.approx(field.norm, rel=1e-12)
+    values = sum(c * m.eval(grid.points) for c, m in zip(field.coefficients, basis.modes))
+    quad_norm = math.sqrt(float(np.sum(grid.weights * values**2)))
+    assert quad_norm == pytest.approx(np.linalg.norm(field.coefficients), rel=1e-12)
 
 
 def test_spectral_field_validation():
@@ -227,3 +237,59 @@ def test_vector_field_samples_shape_validation():
     grid = region_quadrature(whole_domain(1), 2)
     with pytest.raises(DomainError):
         VectorFieldSamples(grid, np.ones((2, grid.points.shape[0])))
+
+
+ONE_RECTANGLE = (((0.1, 0.7), (0.2, 0.9)),)
+TWO_RECTANGLES = (((0.05, 0.45), (0.2, 0.9)), ((0.5, 0.95), (0.0, 0.6)))
+REGIONS = [pytest.param(dimension, truncation, rectangles,
+                        id=f"{dimension}-{truncation}-{len(rectangles)}")
+           for dimension, truncation in [(1, 1), (1, 7), (2, 1), (2, 3), (2, 5)]
+           for rectangles in (ONE_RECTANGLE, TWO_RECTANGLES)]
+
+
+def _random_field(dimension, truncation):
+    basis = build_basis(dimension, truncation)
+    rng = np.random.default_rng(dimension * 100 + truncation)
+    return SpectralField(basis, rng.normal(size=len(basis)))
+
+
+def _mode_gradient_sum(field, pts):
+    """sum_m c_m grad(xi_m) at scattered points, (dim, N), one mode at a time."""
+    return sum(c * m.grad(pts) for c, m in zip(field.coefficients, field.basis.modes)).T
+
+
+@pytest.mark.parametrize("dimension,truncation,rectangles", REGIONS)
+def test_grid_gradient_matches_mode_gradients(dimension, truncation, rectangles):
+    # the per-axis contraction against the per-mode sum, per component within
+    # 1e-14 of its largest value: on the region's quadrature grid (per
+    # rectangle) and on a uniform tensor grid of the whole domain
+    field = _random_field(dimension, truncation)
+    region = Region(tuple(rect[:dimension] for rect in rectangles))
+    g = restrict_gradient(field, region)
+    uniform = [np.linspace(0.0, 1.0, 13), np.linspace(0.0, 1.0, 9)][:dimension]
+    pts = np.stack([x.ravel() for x in np.meshgrid(*uniform, indexing="ij")], axis=1)
+    on_axes = field.grid_gradient(uniform)
+    assert on_axes.shape == (dimension, *(len(x) for x in uniform))
+    for got, want in [(g.components, _mode_gradient_sum(field, g.grid.points)),
+                      (on_axes.reshape(dimension, -1), _mode_gradient_sum(field, pts))]:
+        assert got.shape == want.shape
+        for s in range(dimension):
+            assert np.max(np.abs(got[s] - want[s])) <= 1e-14 * np.max(np.abs(want[s]))
+
+
+@pytest.mark.parametrize("dimension,truncation,rectangles", REGIONS)
+def test_grad_adjoint_is_adjoint_of_restricted_gradient(dimension, truncation,
+                                                        rectangles):
+    # sum_q w g . grad(u_c) = c . grad_adjoint(g) for random samples g and
+    # coefficients c on the region's quadrature grid, relative to the sum of
+    # the terms' sizes, which random signs can cancel by orders of magnitude
+    field = _random_field(dimension, truncation)
+    region = Region(tuple(rect[:dimension] for rect in rectangles))
+    grad_u = restrict_gradient(field, region)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        g = VectorFieldSamples(grad_u.grid, rng.normal(size=grad_u.components.shape))
+        terms = grad_u.grid.weights * g.components * grad_u.components
+        lhs = float(np.sum(terms))
+        rhs = float(field.coefficients @ grad_adjoint(g, field.basis).coefficients)
+        assert abs(lhs - rhs) <= 1e-15 * float(np.sum(np.abs(terms)))
