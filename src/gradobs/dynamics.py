@@ -2,10 +2,10 @@
 
 The mild solution acts mode-by-mode: a coefficient c0 on an eigenfunction
 with eigenvalue lambda evolves to t**(alpha-1) * E_{alpha,alpha}(lambda *
-t**alpha) * c0.  The t**(alpha-1) factor is singular at t=0, so all time
-grids are graded composite Gauss-Legendre meshes excluding 0, and the Gram /
-reconstruction integrals over products of two such responses use meshes
-graded toward both endpoints.
+t**alpha) * c0.  The t**(alpha-1) factor is singular at t=0, so the one
+time rule, `time_grid`, is a composite Gauss-Legendre mesh excluding 0 and
+graded toward both endpoints: simulation samples outputs on it, and the
+Gramians and HUM integrate products of two responses on the same nodes.
 
 For alpha <= 1/2 the response is not square-integrable in time; the
 `compensated` weighting multiplies the integrands by s**(1-alpha) factors to
@@ -62,12 +62,13 @@ class TimeGrid:
         object.__setattr__(self, "weights", weights)
 
 
-def time_grid(alpha: float, horizon: float, panels: int = TIME_PANELS) -> TimeGrid:
-    """Composite Gauss-Legendre mesh on (0,b], panel edges graded as u**q."""
+def time_grid(alpha: float, horizon: float) -> TimeGrid:
+    """The time rule of every command: TIME_PANELS Gauss-Legendre panels on
+    (0, b), the left half's edges graded as u**q toward 0, mirrored about b/2."""
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"fractional order must be in (0, 1], got {alpha}")
-    edges = _graded_edges(0.0, horizon, panels, grading_exponent(alpha))
-    return TimeGrid(horizon, *gauss_panels(edges))
+    left = _graded_edges(0.0, 0.5 * horizon, TIME_PANELS // 2, grading_exponent(alpha))
+    return TimeGrid(horizon, *gauss_panels(np.concatenate([left, horizon - left[-2::-1]])))
 
 
 @dataclass(frozen=True)
@@ -219,13 +220,6 @@ def response_gram_weight(
     if weighting == WEIGHTING_COMPENSATED:
         w = nodes ** (2.0 * (1.0 - alpha))
     return float(np.sum(wq * w * fj * fk))
-
-
-def gram_time_mesh(alpha: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """The mesh on (0, b) graded toward both endpoints, shared by Gram
-    assembly and data functionals: the left half's edges mirrored about b/2."""
-    left = _graded_edges(0.0, 0.5 * b, TIME_PANELS // 2, grading_exponent(alpha))
-    return gauss_panels(np.concatenate([left, b - left[-2::-1]]))
 
 
 def time_weight(alpha: float, nodes: np.ndarray, weighting: str) -> np.ndarray:

@@ -26,8 +26,8 @@ from .dynamics import (
     ObservationRecord,
     TimeGrid,
     WEIGHTING_NONE,
-    gram_time_mesh,
     response_matrix,
+    time_grid,
     time_weight,
 )
 from .sensing import SensorSuite, coupling_matrix
@@ -104,19 +104,18 @@ class HumContext:
         self.potential_basis = build_basis(basis.dimension, truncation)
         self.d_matrix = grad_overlap_matrix(self.potential_basis, basis, region)
         self.kappa = coupling_matrix(suite, basis)
-        nodes, quad_weights = gram_time_mesh(self.alpha, self.horizon)
-        self.time_nodes = nodes
-        self.quad_weights = quad_weights
-        self.weight_values = time_weight(self.alpha, nodes, weighting)
-        self.response = response_matrix(self.alpha, basis.eigenvalues, nodes)
+        self.grid = time_grid(self.alpha, self.horizon)
+        self.time_nodes, self.quad_weights = self.grid.nodes, self.grid.weights
+        self.weight_values = time_weight(self.alpha, self.time_nodes, weighting)
+        self.response = response_matrix(self.alpha, basis.eigenvalues, self.time_nodes)
 
     @property
     def size(self) -> int:
         return len(self.potential_basis)
 
     def time_grid(self) -> TimeGrid:
-        """The shared quadrature mesh as a simulation grid."""
-        return TimeGrid(self.horizon, self.time_nodes, self.quad_weights)
+        """The shared quadrature mesh, the one every command samples on."""
+        return self.grid
 
     def forward_channels(self, a: np.ndarray) -> np.ndarray:
         """Output samples (p, K) of the state pulled back from potentials a."""

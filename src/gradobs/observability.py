@@ -28,8 +28,8 @@ import numpy as np
 from .errors import DomainError
 from .dynamics import (
     TimeGrid,
-    gram_time_mesh,
     response_matrix,
+    time_grid,
     time_weight,
 )
 from .sensing import SensorSuite, coupling_matrix, coupling_tables
@@ -154,34 +154,38 @@ def kernel_test(
     g: VectorFieldSamples,
     suite: SensorSuite,
     alpha: float,
-    region: Region,
+    regions: tuple[Region, ...],
     basis: Basis,
     grid: TimeGrid,
-) -> KernelReport:
-    """Test whether the restricted gradient field generates zero output.
+) -> tuple[KernelReport, ...]:
+    """Test, per region omega, whether p_omega g generates zero output.
 
     Observes the state obtained by adjoint-gradient pullback of p_omega g
     and compares the channel sup-norm against a constructive upper bound on
-    the output magnitude (the scale of the verdict threshold).
+    the output magnitude (the scale of the verdict threshold).  One coupling
+    matrix and one response matrix serve every region.
     """
-    c = grad_adjoint(restrict(g, region), basis).coefficients
     kappa = coupling_matrix(suite, basis)
     resp = response_matrix(alpha, basis.eigenvalues, grid.nodes)
-    channels = kappa @ (c[:, None] * resp)
-    sup = float(np.max(np.abs(channels)))
-    bound = float(np.max(np.abs(kappa) @ (np.abs(c)[:, None] * np.abs(resp))))
-    scale = max(1.0, bound)
-    return KernelReport(sup <= 1e-9 * scale, sup, scale, channels)
+    reports = []
+    for region in regions:
+        c = grad_adjoint(restrict(g, region), basis).coefficients
+        channels = kappa @ (c[:, None] * resp)
+        sup = float(np.max(np.abs(channels)))
+        bound = float(np.max(np.abs(kappa) @ (np.abs(c)[:, None] * np.abs(resp))))
+        scale = max(1.0, bound)
+        reports.append(KernelReport(sup <= 1e-9 * scale, sup, scale, channels))
+    return tuple(reports)
 
 
 def response_kernel_matrix(
     alpha: float, eigenvalues: np.ndarray, b: float, weighting: str
 ) -> np.ndarray:
     """V[j,k] = int_0^b w(s) resp_j(s) resp_k(s) ds for all eigenvalue pairs."""
-    nodes, wq = gram_time_mesh(alpha, b)
-    w = time_weight(alpha, nodes, weighting)
-    f = response_matrix(alpha, eigenvalues, nodes)
-    return (f * (wq * w)[None, :]) @ f.T
+    grid = time_grid(alpha, b)
+    w = time_weight(alpha, grid.nodes, weighting)
+    f = response_matrix(alpha, eigenvalues, grid.nodes)
+    return (f * (grid.weights * w)[None, :]) @ f.T
 
 
 def _region_overlap(test_basis: Basis, basis: Basis, region: Region,

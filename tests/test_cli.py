@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradobs.cli import main, read_observations
 from gradobs.errors import ConfigError
+from gradobs.observability import ConditioningWarning
 from gradobs.presets import preset, preset_names
 
 
@@ -135,15 +137,41 @@ def test_time_integrals_of_the_unweighted_counterexample_exit_2(tmp_path, capsys
         assert ("config.weighting" in err) == (expected == 2), command
 
 
-def test_importing_the_cli_leaves_mpmath_unloaded():
-    # a fresh interpreter: the test oracles import mpmath into this one
-    probe = "import sys, gradobs.cli; print('mpmath' in sys.modules)"
+def _fresh_interpreter(*args):
+    """`python *args` in a new process with this checkout's gradobs."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"),
          os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # a fresh interpreter: the test oracles import mpmath into this one
+    probe = "import sys, gradobs.cli; print('mpmath' in sys.modules)"
+    out = _fresh_interpreter("-c", probe)
+    assert out.returncode == 0
+    assert out.stdout.strip() == "False"
+
+
+def test_warning_is_one_gradobs_line(tmp_path):
+    # a fresh interpreter shows warnings; pytest records them instead
+    run = _fresh_interpreter("-m", "gradobs.cli", "strategic", "--preset",
+                             "hum-pipeline", "--out", str(tmp_path))
+    assert run.returncode == 0
+    lines = run.stderr.splitlines()
+    shown = [line for line in lines if line.startswith("gradobs: warning: ")]
+    assert len(shown) == 1 and "Gramian eigenvalue ratio" in shown[0]
+    assert all(line.startswith("gradobs: ") for line in lines)
+    assert ".py:" not in run.stderr and "gram_regional(" not in run.stderr
+    # a recording caller still receives the warning itself
+    default_format = warnings.formatwarning
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["strategic", "--preset", "hum-pipeline",
+                     "--out", str(tmp_path)]) == 0
+    assert [w.category for w in seen] == [ConditioningWarning]
+    assert warnings.formatwarning is default_format
 
 
 def _set(config, path, value):
@@ -164,7 +192,8 @@ _FILAMENT = {"kind": "filament", "axis": 0, "interval": [0.1, 0.5, 0.9],
         ("reconstruct", ("hum", "max_iterations"), "x", "max_iterations"),
         ("simulate", ("hum", "cg_tolerance"), "abc", "cg_tolerance"),
         ("reconstruct", ("hum", "cg_tolerance"), "abc", "cg_tolerance"),
-        ("simulate", ("time_panels",), "32", "time_panels"),
+        # a removed key: simulation samples on the one time rule
+        ("simulate", ("time_panels",), 32, "time_panels"),
         ("reconstruct", ("potential_truncation",), 2.5, "potential_truncation"),
         ("reconstruct", ("weighting",), "bogus", "weighting"),
         ("simulate", ("noise", "sigma"), -1e-3, "sigma"),
@@ -187,6 +216,7 @@ _FILAMENT = {"kind": "filament", "axis": 0, "interval": [0.1, 0.5, 0.9],
         ("simulate", ("noise", "seed"), -1, "config.noise.seed"),
         ("simulate", ("sensors", 0), 5, "config.sensors[0]"),
         ("simulate", ("initial", "terms", 0), 5, "config.initial.terms[0]"),
+        ("gram", ("gram_truncation",), "3", "gram_truncation"),
     ],
 )
 def test_config_mistakes_exit_2(tmp_path, capsys, command, path, value, field):
@@ -286,14 +316,13 @@ def test_reconstruct_roundtrip_through_csv(tmp_path, capsys):
     assert (rec_dir / "gradient.csv").exists()
     report = json.loads((rec_dir / "report.json").read_text())
     assert report["payload"]["converged"] is True
-    # the CSV lies on the simulation grid, not the reconstruction mesh: the
-    # interpolation in t**alpha must keep the inline answer
+    # simulate samples on the reconstruction mesh and %.17g round-trips
+    # every double, so the CSV gives the inline answer exactly
     assert main(["reconstruct", "--preset", "hum-synthetic",
                  "--out", str(inline_dir)]) == 0
     inline = json.loads((inline_dir / "report.json").read_text())
-    got = np.asarray(report["payload"]["state_coefficients"])
-    want = np.asarray(inline["payload"]["state_coefficients"])
-    assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+    assert report["payload"]["state_coefficients"] \
+        == inline["payload"]["state_coefficients"]
 
 
 def _malformed(lines):
@@ -404,7 +433,7 @@ def test_every_preset_is_loadable():
 
 
 # sizes a mutation may lower but never raise, so every example stays cheap
-_SIZE_KEYS = ("truncation", "time_panels", "max_iterations")
+_SIZE_KEYS = ("truncation", "max_iterations")
 _DELETE = object()
 
 

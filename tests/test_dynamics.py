@@ -18,7 +18,6 @@ from gradobs.dynamics import (
     WEIGHTING_COMPENSATED,
     WEIGHTING_NONE,
     duhamel_weight,
-    gram_time_mesh,
     response_gram_weight,
     response_matrix,
     simulate,
@@ -66,7 +65,10 @@ def test_time_grid_properties():
 
 @pytest.mark.parametrize("alpha,b", [(0.3, 1.0), (0.75, 2.5), (1.0, 0.4)])
 def test_gram_time_mesh_is_mirror_symmetric(alpha, b):
-    nodes, weights = gram_time_mesh(alpha, b)
+    # the one time rule, shared by simulation, the Gramians and HUM
+    grid = time_grid(alpha, b)
+    nodes, weights = grid.nodes, grid.weights
+    assert nodes.size == 256
     assert np.allclose(nodes, b - nodes[::-1], rtol=0.0, atol=1e-14 * b)
     assert np.allclose(weights, weights[::-1], rtol=0.0, atol=1e-14 * b)
     assert float(np.sum(weights)) == pytest.approx(b, rel=1e-13)

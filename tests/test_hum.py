@@ -8,7 +8,7 @@ import pytest
 
 import gradobs.hum as hum_module
 from gradobs.errors import DomainError
-from gradobs.dynamics import ObservationRecord, simulate, time_grid
+from gradobs.dynamics import ObservationRecord, TimeGrid, grading_exponent, simulate
 from gradobs.hum import (
     DISCREPANCY_FACTOR,
     EPS_GRID_DECADES,
@@ -34,6 +34,7 @@ from gradobs.spectral import (
     Region,
     SpectralField,
     build_basis,
+    gauss_panels,
     restrict_gradient,
 )
 
@@ -152,13 +153,30 @@ def test_iteration_budget_reports_non_convergence():
 def test_coarse_observation_grid_warns_and_interpolates():
     ctx = _context(2)
     y0 = _state(ctx.basis, [((1, 1), 1.0)])
-    coarse = time_grid(0.8, 1.0, panels=4)
+    edges = np.linspace(0.0, 1.0, 5) ** grading_exponent(0.8)  # 4 panels
+    coarse = TimeGrid(1.0, *gauss_panels(edges))
     record = simulate(y0, ctx.suite, 0.8, coarse)
     with pytest.warns(UserWarning, match="coarser"):
         b = rhs_from_data(record, ctx)
     dense = simulate(y0, ctx.suite, 0.8, ctx.time_grid())
     b_ref = rhs_from_data(dense, ctx)
     assert np.max(np.abs(b - b_ref)) < 0.1 * np.max(np.abs(b_ref))
+
+
+def test_off_mesh_record_keeps_the_on_mesh_reconstruction():
+    # the hum-synthetic problem sampled on 32 panels graded toward t = 0
+    # only, not on the quadrature mesh: the Lagrange resampling in t**alpha
+    # must keep the state coefficients of the on-mesh record
+    ctx = _context(2)
+    y0 = _state(ctx.basis, [((1, 1), 1.0), ((2, 2), -0.4)])
+    edges = np.linspace(0.0, 1.0, 33) ** grading_exponent(0.8)
+    off_mesh = simulate(y0, ctx.suite, 0.8, TimeGrid(1.0, *gauss_panels(edges)))
+    on_mesh = simulate(y0, ctx.suite, 0.8, ctx.time_grid())
+    assert not np.array_equal(off_mesh.grid.nodes, ctx.time_nodes)
+    config = HumConfig(cg_tolerance=1e-13, max_iterations=500)
+    got, want = (ctx.d_matrix.T @ solve(record, config, ctx).potential.coefficients
+                 for record in (off_mesh, on_mesh))
+    assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
 
 
 def test_reconstruct_gradient_uses_state_coefficients():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gradobs.errors import DomainError
-from gradobs.dynamics import TimeGrid, gram_time_mesh, simulate, time_grid
+from gradobs.dynamics import TimeGrid, grading_exponent, simulate, time_grid
 from gradobs.observability import (
     COMPONENT,
     GRADIENT,
@@ -35,6 +35,7 @@ from gradobs.spectral import (
     Region,
     SpectralField,
     build_basis,
+    gauss_panels,
     grad_adjoint,
     region_quadrature,
     restrict,
@@ -193,10 +194,9 @@ def _output_energy(coefficients, basis, suite):
     """int_0^1 ||z(t)||**2 dt of the state with the given coefficients at
     alpha = 0.8: the time quadrature of its simulated channels on the
     Gramians' mesh (unweighted, so every weight is the quadrature weight)."""
-    nodes, wq = gram_time_mesh(0.8, 1.0)
-    record = simulate(SpectralField(basis, coefficients), suite, 0.8,
-                      TimeGrid(1.0, nodes, wq))
-    return float(np.sum(wq[None, :] * record.channels**2))
+    grid = time_grid(0.8, 1.0)
+    record = simulate(SpectralField(basis, coefficients), suite, 0.8, grid)
+    return float(np.sum(grid.weights[None, :] * record.channels**2))
 
 
 def test_gradient_gram_quadratic_form_is_output_energy():
@@ -312,16 +312,19 @@ def test_kernel_test_counterexample_field():
     suite = SensorSuite((counterexample_sensor(),))
     g = sample_vector_field(_vortex_free_field, whole_domain(2), 6)
     grid = time_grid(0.5, 1.0)
-    whole = kernel_test(g, suite, 0.5, whole_domain(2), basis, grid)
+    strip = Region((((0.0, 1.0), (0.0, 1.0 / 6.0)),))
+    whole, partial = kernel_test(g, suite, 0.5, (whole_domain(2), strip), basis, grid)
     assert whole.in_kernel
     assert whole.sup_norm < 1e-9 * whole.scale
-    strip = Region((((0.0, 1.0), (0.0, 1.0 / 6.0)),))
-    partial = kernel_test(g, suite, 0.5, strip, basis, grid)
     assert not partial.in_kernel
+    # one region at a time gives the same reports as the pair
+    assert kernel_test(g, suite, 0.5, (strip,), basis, grid)[0].sup_norm \
+        == partial.sup_norm
     zero = sample_vector_field(
         lambda pts: np.zeros_like(pts), whole_domain(2), 6
     )
-    assert kernel_test(zero, suite, 0.5, whole_domain(2), basis, grid).in_kernel
+    (report,) = kernel_test(zero, suite, 0.5, (whole_domain(2),), basis, grid)
+    assert report.in_kernel
 
 
 def test_kernel_test_channels_match_simulate():
@@ -329,9 +332,10 @@ def test_kernel_test_channels_match_simulate():
     basis = build_basis(2, 6)
     suite = SensorSuite((counterexample_sensor(),))
     g = sample_vector_field(_vortex_free_field, whole_domain(2), 6)
-    grid = time_grid(0.5, 1.0, panels=4)
+    edges = np.linspace(0.0, 1.0, 5) ** grading_exponent(0.5)  # 4 panels
+    grid = TimeGrid(1.0, *gauss_panels(edges))
     strip = Region((((0.0, 1.0), (0.0, 1.0 / 6.0)),))
-    report = kernel_test(g, suite, 0.5, strip, basis, grid)
+    (report,) = kernel_test(g, suite, 0.5, (strip,), basis, grid)
     state = grad_adjoint(restrict(g, strip), basis)
     expected = simulate(state, suite, 0.5, grid).channels
     assert report.channels.shape == expected.shape
