@@ -341,9 +341,9 @@ class Experiment:
 def _csv(header: list[str], columns) -> str:
     """The header line, then one row per index of the `columns`, every value
     at 17 significant digits, and one trailing newline."""
-    row = ",".join(["%.17g"] * len(header))
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    return "\n".join([",".join(header), *(row % values for values in rows)]) + "\n"
+    table = np.asarray(columns, dtype=float)
+    rows = (",".join(["%.17g"] * len(header)) + "\n") * table.shape[1]
+    return ",".join(header) + "\n" + rows % tuple(table.ravel(order="F").tolist())
 
 
 def _write(out_dir: str, name: str, text: str) -> None:
@@ -583,7 +583,7 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
         "iterations": result.iterations,
         "residual": result.residual,
         "converged": result.converged,
-        "smallest_ritz_value": result.smallest_ritz_value,
+        "smallest_eigenvalue": result.smallest_eigenvalue,
         "regularization": result.regularization,
         "gradient_norm": result.gradient.norm,
     }
@@ -604,6 +604,10 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
 def cmd_counterexample(experiment: Experiment, out_dir: str) -> int:
     if experiment.dimension != 2:
         raise ConfigError("config.dimension: counterexample is 2-D")
+    if experiment.config["sensors"] != preset("counterexample")["sensors"]:
+        raise ConfigError("config.sensors: the strip's closed form holds only for "
+                          "the counterexample's filament (axis 1 on [0, 1] at "
+                          "0.5, sine freq [0, 1])")
     basis = experiment.basis
     g = sample_vector_field(
         _counterexample_gradient, whole_domain(2), basis.truncation

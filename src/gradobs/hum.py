@@ -9,9 +9,9 @@ channels against the simulated output of each potential direction; the time
 reversal of the adjoint system composes with the backward solve's reversal
 and drops out, so both sides share one quadrature mesh and one kernel.
 
-Conjugate gradients solve (Lambda + eps*I) a = b; the Lanczos tridiagonal
-assembled from the CG recurrence reports the smallest Ritz value as a
-coercivity surrogate.
+Conjugate gradients solve (Lambda + eps*I) a = b.  The context keeps one
+thin SVD of the whitened forward matrix A (Lambda = A^T A), which gives
+Lambda's exact smallest eigenvalue and the discrepancy rule's misfits.
 """
 
 from __future__ import annotations
@@ -78,7 +78,13 @@ class HumConfig:
 
 
 class HumContext:
-    """Precomputed matrices shared by Lambda applications and data functionals."""
+    """Precomputed matrices shared by Lambda applications and data functionals.
+
+    `singular_vectors` U and `singular_values` s are the thin SVD of the
+    whitened forward matrix A (p*K, Q), column q the output of potential q
+    times the root of the weighted quadrature, so Lambda = A^T A.  (A, not an
+    assembled Lambda, whose smallest eigenvalues drown in rounding.)
+    """
 
     def __init__(
         self,
@@ -108,6 +114,13 @@ class HumContext:
         self.time_nodes, self.quad_weights = self.grid.nodes, self.grid.weights
         self.weight_values = time_weight(self.alpha, self.time_nodes, weighting)
         self.response = response_matrix(self.alpha, basis.eigenvalues, self.time_nodes)
+        root = np.sqrt(self.quad_weights * self.weight_values)
+        forward = np.stack([(self.forward_channels(e) * root).ravel()
+                            for e in np.eye(self.size)], axis=1)
+        u, s, _ = np.linalg.svd(forward, full_matrices=False)
+        self.singular_vectors, self.singular_values = u, s
+        # Lambda's smallest eigenvalue; Lambda is singular when Q > p*K
+        self.smallest_eigenvalue = float(s[-1] ** 2) if s.size == self.size else 0.0
 
     @property
     def size(self) -> int:
@@ -121,15 +134,6 @@ class HumContext:
         """Output samples (p, K) of the state pulled back from potentials a."""
         c = self.d_matrix.T @ np.asarray(a, dtype=float)
         return self.kappa @ (c[:, None] * self.response)
-
-    def whitened_forward_matrix(self) -> np.ndarray:
-        """A of shape (p*K, Q) with Lambda = A^T A: column q is the output of
-        potential q scaled by the square root of the weighted quadrature."""
-        root = np.sqrt(self.quad_weights * self.weight_values)
-        return np.stack(
-            [(self.forward_channels(e) * root).ravel() for e in np.eye(self.size)],
-            axis=1,
-        )
 
     def data_functional(self, channels: np.ndarray) -> np.ndarray:
         """b_q = sum_i int w(t) channels_i(t) [output of potential q]_i(t) dt."""
@@ -147,9 +151,8 @@ class HumResult:
     iterations: int
     residual: float
     converged: bool
-    smallest_ritz_value: float
+    smallest_eigenvalue: float  # of Lambda + eps I
     regularization: float
-    relative_error: float | None = None
 
 
 def apply_lambda(a: PotentialVector | np.ndarray, context: HumContext) -> np.ndarray:
@@ -209,35 +212,19 @@ def rhs_from_data(record: ObservationRecord, context: HumContext) -> np.ndarray:
     return context.data_functional(_channels_on_mesh(record, context))
 
 
-def _smallest_ritz(alphas: list[float], betas: list[float]) -> float:
-    """Smallest eigenvalue of the Lanczos tridiagonal built from CG scalars."""
-    k = len(alphas)
-    if k == 0:
-        return float("nan")
-    t = np.zeros((k, k))
-    for i in range(k):
-        t[i, i] = 1.0 / alphas[i] + (betas[i - 1] / alphas[i - 1] if i else 0.0)
-        if i + 1 < k:
-            off = np.sqrt(max(betas[i], 0.0)) / alphas[i]
-            t[i, i + 1] = t[i + 1, i] = off
-    return float(np.linalg.eigvalsh(t)[0])
-
-
 def _conjugate_gradients(
     b: np.ndarray, eps: float, config: HumConfig, context: HumContext
-) -> tuple[np.ndarray, int, float, bool, float]:
+) -> tuple[np.ndarray, int, float, bool]:
     """CG for (Lambda + eps I) a = b from a = 0.
 
-    Returns the iterate, the iteration count, the relative residual, whether
-    it met the tolerance, and the smallest Ritz value.
+    Returns the iterate, the iteration count, the relative residual and
+    whether it met the tolerance.
     """
     a = np.zeros(context.size)
     r = b.copy()
     p = r.copy()
     rr = float(r @ r)
     bnorm = float(np.sqrt(rr))
-    alphas: list[float] = []
-    betas: list[float] = []
     iterations = 0
     converged = bnorm == 0.0
     while not converged and iterations < config.max_iterations:
@@ -252,38 +239,27 @@ def _conjugate_gradients(
         step = rr / curvature
         a += step * p
         r -= step * ap
-        rr_new = float(r @ r)
-        alphas.append(step)
-        betas.append(rr_new / rr)
-        rr = rr_new
+        rr_old, rr = rr, float(r @ r)
         iterations += 1
         if np.sqrt(rr) <= config.cg_tolerance * bnorm:
             converged = True
             break
-        p = r + betas[-1] * p
+        p = r + (rr / rr_old) * p
     residual = float(np.sqrt(rr) / bnorm) if bnorm > 0.0 else 0.0
-    return a, iterations, residual, converged, _smallest_ritz(alphas, betas)
+    return a, iterations, residual, converged
 
 
-def solve(
-    record: ObservationRecord,
-    config: HumConfig,
-    context: HumContext,
-    true_gradient: VectorFieldSamples | None = None,
-) -> HumResult:
+def solve(record: ObservationRecord, config: HumConfig, context: HumContext
+          ) -> HumResult:
     """Conjugate-gradient solution of (Lambda + eps I) a = b from a = 0."""
-    b = rhs_from_data(record, context)
     eps = config.regularization
-    a, iterations, residual, converged, ritz = _conjugate_gradients(
-        b, eps, config, context
+    a, iterations, residual, converged = _conjugate_gradients(
+        rhs_from_data(record, context), eps, config, context
     )
     potential = PotentialVector(a)
-    gradient = reconstruct_gradient(potential, context)
-    rel = None
-    if true_gradient is not None:
-        rel = reconstruction_error(gradient, true_gradient)
     return HumResult(
-        potential, gradient, iterations, residual, converged, ritz, eps, rel
+        potential, reconstruct_gradient(potential, context), iterations,
+        residual, converged, context.smallest_eigenvalue + eps, eps,
     )
 
 
@@ -328,14 +304,13 @@ def discrepancy_regularization(
     misfit exceeds DISCREPANCY_FACTOR^2 times that level (0 when the smallest
     already does).
 
-    One thin SVD A = U S V^T of the whitened forward matrix (Lambda = A^T A)
-    gives every grid misfit in closed form through the Tikhonov filter
-    factors: sum_k (eps / (s_k^2 + eps))^2 beta_k^2 + ||y - U beta||^2 with
-    beta = U^T y for the whitened channels y.  (The SVD is taken of A, not of
-    an assembled Lambda, whose smallest eigenvalues drown in rounding.)  That
-    locates the crossing; the two grid eps around it are then confirmed with
-    the misfit of the CG solution at `config`'s tolerance and budget, the
-    solution `solve` returns, stepping along the grid while the two disagree.
+    The context's thin SVD A = U S V^T of the whitened forward matrix gives
+    every grid misfit in closed form through the Tikhonov filter factors:
+    sum_k (eps / (s_k^2 + eps))^2 beta_k^2 + ||y - U beta||^2 with
+    beta = U^T y for the whitened channels y.  That locates the crossing;
+    the two grid eps around it are then confirmed with the misfit of the CG
+    solution at `config`'s tolerance and budget, the solution `solve`
+    returns, stepping along the grid while the two disagree.
     Near the noise level a CG misfit can sit on the other side of it than the
     exact one, and the returned eps must hold for the solution callers get.
     """
@@ -355,7 +330,7 @@ def discrepancy_regularization(
         for d in range(EPS_GRID_DECADES * EPS_GRID_PER_DECADE + 1)
     ])
     y = (channels * np.sqrt(wq)).ravel()
-    u, s, _ = np.linalg.svd(context.whitened_forward_matrix(), full_matrices=False)
+    u, s = context.singular_vectors, context.singular_values
     beta = u.T @ y
     outside = float(np.sum((y - u @ beta) ** 2))
     filtered = grid[:, None] / (s[None, :] ** 2 + grid[:, None])

@@ -407,6 +407,41 @@ def test_counterexample_command(tmp_path, capsys):
     assert payload["strip_closed_form_relative_error"] < 1e-8
 
 
+def test_counterexample_on_another_sensor_suite_is_a_config_error(tmp_path, capsys):
+    # the strip's closed form holds only for the counterexample's filament
+    code = main(["counterexample", "--preset", "hum-pipeline", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config.sensors" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_reconstruct_reports_the_gradient_gramian_smallest_eigenvalue(tmp_path,
+                                                                        capsys):
+    # reconstruct's Lambda and gram's gradient Gramian are one operator, so
+    # both commands report one smallest eigenvalue, rank-deficient ones too
+    compared = []
+    for name in preset_names():
+        payloads = {}
+        for command in ("gram", "reconstruct"):
+            out = tmp_path / name / command
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                code = main([command, "--preset", name, "--out", str(out)])
+            if code == 0:
+                payloads[command] = json.loads((out / "report.json").read_text())[
+                    "payload"]
+        capsys.readouterr()
+        if len(payloads) < 2 or payloads["gram"]["kind"] != "gradient":
+            continue
+        gram, reconstruct = payloads["gram"], payloads["reconstruct"]
+        assert reconstruct["smallest_eigenvalue"] == pytest.approx(
+            gram["smallest_eigenvalue"], rel=0.0,
+            abs=1e-12 * gram["largest_eigenvalue"]), name
+        compared.append(name)
+    assert len(compared) == 10, compared
+
+
 def test_gram_command_writes_spectrum(tmp_path, capsys):
     code = main(["gram", "--preset", "gram-zero", "--out", str(tmp_path)])
     assert code == 0
@@ -414,6 +449,11 @@ def test_gram_command_writes_spectrum(tmp_path, capsys):
     assert payload["positive_definite"] is False
     assert payload["kind"] == "gradient"
     assert abs(payload["largest_eigenvalue"]) < 1e-20
+    # the zero suite's Lambda vanishes: its smallest eigenvalue is 0, not nan
+    code = main(["reconstruct", "--preset", "gram-zero", "--out", str(tmp_path)])
+    assert code == 0
+    payload = json.loads((tmp_path / "report.json").read_text())["payload"]
+    assert payload["smallest_eigenvalue"] == 0.0
 
 
 def test_out_env_variable_is_honored(tmp_path, capsys, monkeypatch):
