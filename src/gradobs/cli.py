@@ -21,6 +21,7 @@ import sys
 import tempfile
 import time
 import warnings
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -69,6 +70,7 @@ from .dynamics import (
 from .observability import (
     COMPONENT,
     GRADIENT,
+    GramReport,
     build_g_matrices,
     gram_regional,
     kernel_test,
@@ -242,17 +244,6 @@ SENSOR = _tagged("kind", {
 })
 
 
-def _hum(spec, where: str, top: dict) -> HumConfig:
-    if isinstance(spec, dict) and "weighting" in spec:
-        raise ConfigError(f"{where}.weighting: not read; set the top-level "
-                          "'weighting' key instead")
-    return _table({
-        "cg_tolerance": (float, HumConfig.cg_tolerance, None),
-        "max_iterations": (int, HumConfig.max_iterations, None),
-        "regularization": (float, HumConfig.regularization, None),
-    }, HumConfig)(spec, where, top)
-
-
 def _counterexample_gradient(pts: np.ndarray) -> np.ndarray:
     g1 = np.cos(np.pi * pts[:, 0]) * np.sin(3.0 * np.pi * pts[:, 1]) / np.pi
     g2 = 3.0 * np.sin(np.pi * pts[:, 0]) * np.cos(3.0 * np.pi * pts[:, 1]) / np.pi
@@ -284,15 +275,14 @@ INITIAL = _tagged("type", {
     }, dict)), _REQUIRED, None)}, lambda terms: partial(_modes_state, terms)),
     "counterexample-gradient": _table({}, lambda: _counterexample_state),
 })
-_SUB_TRUNCATION = (int, lambda top: min(top["truncation"], 6), (
-    lambda v, top: 1 <= v <= top["truncation"], "in [1, truncation={truncation}]"))
 CONFIG = {
     "alpha": (float, _REQUIRED, (lambda v, top: 0.0 < v <= 1.0, "in (0, 1]")),
     "horizon": (float, _REQUIRED, (lambda v, top: v > 0.0, "positive")),
     "dimension": (int, _REQUIRED, _one_of(1, 2)),
     "truncation": (int, _REQUIRED, (lambda v, top: v >= 1, ">= 1")),
-    "gram_truncation": _SUB_TRUNCATION,
-    "potential_truncation": _SUB_TRUNCATION,
+    # the test truncation Q of the Gramians and of HUM's potential span
+    "potential_truncation": (int, lambda top: min(top["truncation"], 6), (
+        lambda v, top: 1 <= v <= top["truncation"], "in [1, truncation={truncation}]")),
     "gram_kind": (str, GRADIENT, _one_of(COMPONENT, GRADIENT)),
     "weighting": (str, WEIGHTING_NONE, _one_of(WEIGHTING_NONE, WEIGHTING_COMPENSATED)),
     "region": (_list(_list(_PAIR, "dimension"), least=1, build=Region),
@@ -302,7 +292,11 @@ CONFIG = {
         "sigma": (float, 0.0, (lambda v, top: v >= 0.0, ">= 0")),
         "seed": (int, None, (lambda v, top: 0 <= v < 2**128, "in [0, 2**128)")),
     }, lambda sigma, seed: (sigma, seed)), (0.0, None), None),
-    "hum": (_hum, HumConfig(), None),
+    "hum": (_table({
+        "cg_tolerance": (float, HumConfig.cg_tolerance, None),
+        "max_iterations": (int, HumConfig.max_iterations, None),
+        "regularization": (float, HumConfig.regularization, None),
+    }, HumConfig), HumConfig(), None),
     "initial": (INITIAL, None, None),
 }
 
@@ -333,6 +327,12 @@ class Experiment:
         leaves the response non-square-integrable is a config mistake."""
         _build("config.weighting", check_weighting, self.alpha, self.weighting)
         return self.weighting
+
+    def gram(self, kind: str = COMPONENT) -> GramReport:
+        """The `kind` Gramian on the region at test truncation Q."""
+        return gram_regional(self.basis, self.suite, self.alpha, self.horizon,
+                             self.region, truncation=self.potential_truncation,
+                             weighting=self.time_weighting(), kind=kind)
 
 
 # ---------------------------------------------------------------- output ---
@@ -484,35 +484,18 @@ def cmd_strategic(experiment: Experiment, out_dir: str) -> int:
             {
                 "eigenvalue": group.eigenvalue,
                 "modes": [list(m.indices) for m in group.members],
-                "per_axis": [axis_matrix for axis_matrix in per_axis],
+                "per_axis": per_axis,
             }
             for group, per_axis in zip(experiment.basis.groups, gset.matrices)
         ]
     }
     if experiment.dimension == 1:
-        report = strategic_test_1d(gset)
-        payload.update(
-            verdict=report.verdict,
-            truncation=report.truncation,
-            channel_count=report.channel_count,
-            max_multiplicity=report.max_multiplicity,
-            ranks=list(report.ranks),
-            multiplicities=list(report.multiplicities),
-            offending_group=report.offending_group,
-        )
+        payload.update(asdict(strategic_test_1d(gset)))
     else:
-        gram = gram_regional(
-            experiment.basis,
-            experiment.suite,
-            experiment.alpha,
-            experiment.horizon,
-            experiment.region,
-            truncation=experiment.gram_truncation,
-            weighting=experiment.time_weighting(),
-        )
+        gram = experiment.gram()
         payload.update(
             verdict=gram.positive_definite,
-            truncation=experiment.gram_truncation,
+            truncation=experiment.potential_truncation,
             smallest_eigenvalue=gram.smallest_eigenvalue,
             largest_eigenvalue=gram.largest_eigenvalue,
         )
@@ -521,25 +504,10 @@ def cmd_strategic(experiment: Experiment, out_dir: str) -> int:
 
 
 def cmd_gram(experiment: Experiment, out_dir: str) -> int:
-    gram = gram_regional(
-        experiment.basis,
-        experiment.suite,
-        experiment.alpha,
-        experiment.horizon,
-        experiment.region,
-        truncation=experiment.gram_truncation,
-        weighting=experiment.time_weighting(),
-        kind=experiment.gram_kind,
-    )
-    payload = {
-        "kind": gram.kind,
-        "matrix": gram.matrix,
-        "eigenvalues": gram.eigenvalues,
-        "smallest_eigenvalue": gram.smallest_eigenvalue,
-        "largest_eigenvalue": gram.largest_eigenvalue,
-        "positive_definite": gram.positive_definite,
-        "test_modes": [list(m) for m in gram.test_modes],
-    }
+    gram = experiment.gram(experiment.gram_kind)
+    payload = asdict(gram)
+    payload.update(smallest_eigenvalue=gram.smallest_eigenvalue,
+                   largest_eigenvalue=gram.largest_eigenvalue)
     _write_report(out_dir, "gram", experiment.config, payload)
     return 0
 
@@ -712,7 +680,11 @@ def main(argv: list[str] | None = None) -> int:
     warnings.formatwarning = lambda message, *_: f"gradobs: warning: {message}\n"
     try:
         out_dir = getattr(args, "out", None) or os.environ.get(OUT_ENV) or "."
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}"
+                              ) from exc
         if args.command == "mlf":
             code = cmd_mlf(args, out_dir)
         elif args.command == "reconstruct":

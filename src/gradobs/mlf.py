@@ -398,18 +398,6 @@ def wright_psi(alpha: float, theta: float) -> float:
     return alpha * _kanter_integral(alpha, theta, -alpha / c) / (math.pi * c * theta)
 
 
-def phi_alpha(alpha: float, theta: float) -> float:
-    """Mainardi density phi_alpha(theta) via the psi composition."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"phi_alpha requires alpha in (0, 1), got {alpha}")
-    theta_min = math.exp(-700.0 * alpha / (1.0 + alpha))
-    if not theta > theta_min:
-        raise DomainError(f"phi_alpha requires theta > {theta_min:.3g}, where "
-                          f"theta**(-1 - 1/alpha) is finite, got theta={theta}")
-    arg = theta ** (-1.0 / alpha)
-    return theta ** (-1.0 - 1.0 / alpha) / alpha * wright_psi(alpha, arg)
-
-
 def phi_density(alpha: float, theta: float) -> float:
     """phi_alpha on all of [0, inf) by Kanter's integral,
     phi = I(theta**(1/(1-alpha))) / (pi (1-alpha) theta)."""

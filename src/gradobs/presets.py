@@ -63,7 +63,7 @@ _PRESETS: dict[str, dict] = {
         "horizon": 1.0,
         "dimension": 2,
         "truncation": 4,
-        "gram_truncation": 4,
+        "potential_truncation": 4,
         "region": [_STRIP_HALF],
         "sensors": [
             {
@@ -86,7 +86,7 @@ _PRESETS: dict[str, dict] = {
         "horizon": 1.0,
         "dimension": 2,
         "truncation": 4,
-        "gram_truncation": 4,
+        "potential_truncation": 4,
         "region": [_STRIP_HALF],
         "sensors": [
             {"kind": "pointwise", "location": [1.0 / _SQRT2, 1.0 / math.sqrt(3.0)]}
@@ -102,7 +102,7 @@ _PRESETS: dict[str, dict] = {
         "horizon": 1.0,
         "dimension": 2,
         "truncation": 4,
-        "gram_truncation": 4,
+        "potential_truncation": 4,
         "region": [_STRIP_HALF],
         "sensors": [
             {
@@ -202,7 +202,7 @@ _PRESETS: dict[str, dict] = {
         "horizon": 1.0,
         "dimension": 2,
         "truncation": 3,
-        "gram_truncation": 3,
+        "potential_truncation": 3,
         "gram_kind": "gradient",
         "region": [_STRIP_HALF],
         "sensors": copy.deepcopy(_THREE_POINTWISE),
@@ -213,7 +213,7 @@ _PRESETS: dict[str, dict] = {
         "horizon": 1.0,
         "dimension": 1,
         "truncation": 2,
-        "gram_truncation": 2,
+        "potential_truncation": 2,
         "gram_kind": "gradient",
         "region": None,
         "sensors": [

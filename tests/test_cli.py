@@ -199,9 +199,10 @@ _FILAMENT = {"kind": "filament", "axis": 0, "interval": [0.1, 0.5, 0.9],
         ("simulate", ("noise", "sigma"), -1e-3, "sigma"),
         ("reconstruct", ("noise", "sigma"), -1e-3, "sigma"),
         ("simulate", ("noise", "seed"), "abc", "seed"),
-        ("reconstruct", ("hum", "weighting"), "none", "top-level 'weighting'"),
+        ("reconstruct", ("hum", "weighting"), "none", "'weighting'"),
         ("reconstruct", ("potential_truncation",), 3, "potential_truncation"),
         ("reconstruct", ("potential_truncation",), 0, "potential_truncation"),
+        # a removed key: every Gramian and HUM read Q from potential_truncation
         ("gram", ("gram_truncation",), 0, "gram_truncation"),
         ("gram", ("gram_kind",), "bogus", "gram_kind"),
         ("simulate", ("noise",), {"sigma": 1e-3}, "seed"),
@@ -216,7 +217,9 @@ _FILAMENT = {"kind": "filament", "axis": 0, "interval": [0.1, 0.5, 0.9],
         ("simulate", ("noise", "seed"), -1, "config.noise.seed"),
         ("simulate", ("sensors", 0), 5, "config.sensors[0]"),
         ("simulate", ("initial", "terms", 0), 5, "config.initial.terms[0]"),
-        ("gram", ("gram_truncation",), "3", "gram_truncation"),
+        ("gram", ("potential_truncation",), "3", "potential_truncation"),
+        ("gram", ("potential_truncation",), 0, "potential_truncation"),
+        ("strategic", ("gram_truncation",), 2, "unknown field(s) 'gram_truncation'"),
     ],
 )
 def test_config_mistakes_exit_2(tmp_path, capsys, command, path, value, field):
@@ -442,6 +445,24 @@ def test_reconstruct_reports_the_gradient_gramian_smallest_eigenvalue(tmp_path,
     assert len(compared) == 10, compared
 
 
+def test_gram_and_reconstruct_share_the_test_truncation(tmp_path, capsys):
+    # one key sets Q for gram's Gramian and for HUM's Lambda, so both
+    # commands report one operator
+    config = preset("hum-pipeline")
+    config.update(potential_truncation=2, gram_kind="gradient")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    payloads = {}
+    for command in ("gram", "reconstruct"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        payloads[command] = json.loads((out / "report.json").read_text())["payload"]
+    gram, reconstruct = payloads["gram"], payloads["reconstruct"]
+    assert len(gram["eigenvalues"]) == len(reconstruct["potential_coefficients"]) == 4
+    assert reconstruct["smallest_eigenvalue"] == pytest.approx(
+        gram["smallest_eigenvalue"], rel=0.0, abs=1e-12 * gram["largest_eigenvalue"])
+
+
 def test_gram_command_writes_spectrum(tmp_path, capsys):
     code = main(["gram", "--preset", "gram-zero", "--out", str(tmp_path)])
     assert code == 0
@@ -462,6 +483,18 @@ def test_out_env_variable_is_honored(tmp_path, capsys, monkeypatch):
     code = main(["strategic", "--preset", "strategic-1d-pass"])
     assert code == 0
     assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_at_a_file_is_a_config_error(tmp_path, capsys, under):
+    # --out naming a file, or a path below one, cannot become a directory
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    code = main(["simulate", "--preset", "hum-pipeline", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cannot create output directory" in err and "Traceback" not in err
 
 
 def test_every_preset_is_loadable():
