@@ -8,7 +8,7 @@ artifact is written atomically (temp + rename) and, with a fixed config and
 seed, byte-identical across runs; wall time goes to stderr only.
 
 Exit codes: 0 success, 2 config error, 3 numerical-domain error,
-4 non-convergence.
+4 non-convergence or a singular reconstruction operator.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from .dynamics import (
 from .observability import (
     COMPONENT,
     GRADIENT,
+    NULL_REL_TOL,
     GramReport,
     build_g_matrices,
     gram_regional,
@@ -347,7 +348,11 @@ def _csv(header: list[str], columns) -> str:
 
 
 def _write(out_dir: str, name: str, text: str) -> None:
-    """Write `text` to out_dir/name atomically (temp + rename)."""
+    """Write `text` to out_dir/name atomically (temp + rename), making out_dir."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".gradobs-")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -542,6 +547,9 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
             noise_seed=experiment.noise_seed,
         )
     result = solve(record, experiment.hum, context)
+    # Lambda's rank by gram's positive-definiteness threshold
+    lam = context.lambda_eigenvalues
+    rank = int(np.count_nonzero(lam > NULL_REL_TOL * lam[0]))
     state_coefficients = context.d_matrix.T @ result.potential.coefficients
     state = SpectralField(experiment.basis, state_coefficients)
     _write(out_dir, "gradient.csv", _gradient_csv(state, experiment.region))
@@ -554,6 +562,7 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
         "smallest_eigenvalue": result.smallest_eigenvalue,
         "regularization": result.regularization,
         "gradient_norm": result.gradient.norm,
+        "rank": rank,
     }
     if truth is not None:
         payload["relative_error"] = reconstruction_error(
@@ -561,6 +570,11 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
         )
         _write(out_dir, "gradient_true.csv", _gradient_csv(truth, experiment.region))
     _write_report(out_dir, "reconstruct", experiment.config, payload)
+    if rank < context.size:
+        raise ConvergenceError(
+            f"Lambda has rank {rank} of {context.size}: the sensors are not "
+            "gradient strategic on the region, so no reconstruction is unique"
+        )
     if not result.converged:
         raise ConvergenceError(
             f"conjugate gradients stopped at relative residual "
@@ -680,11 +694,6 @@ def main(argv: list[str] | None = None) -> int:
     warnings.formatwarning = lambda message, *_: f"gradobs: warning: {message}\n"
     try:
         out_dir = getattr(args, "out", None) or os.environ.get(OUT_ENV) or "."
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {out_dir}: {exc}"
-                              ) from exc
         if args.command == "mlf":
             code = cmd_mlf(args, out_dir)
         elif args.command == "reconstruct":

@@ -9,13 +9,15 @@ channels against the simulated output of each potential direction; the time
 reversal of the adjoint system composes with the backward solve's reversal
 and drops out, so both sides share one quadrature mesh and one kernel.
 
-Conjugate gradients solve (Lambda + eps*I) a = b.  The context keeps one
-thin SVD of the whitened forward matrix A (Lambda = A^T A), which gives
-Lambda's exact smallest eigenvalue and the discrepancy rule's misfits.
+Conjugate gradients solve (Lambda + eps*I) a = b with Lambda a = V S^2 V^T a
+and b = V S U^T y, both from one thin SVD A = U S V^T of the whitened forward
+map (Lambda = A^T A, never assembled), which also gives Lambda's exact
+smallest eigenvalue and the discrepancy rule's misfits.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -80,10 +82,11 @@ class HumConfig:
 class HumContext:
     """Precomputed matrices shared by Lambda applications and data functionals.
 
-    `singular_vectors` U and `singular_values` s are the thin SVD of the
-    whitened forward matrix A (p*K, Q), column q the output of potential q
-    times the root of the weighted quadrature, so Lambda = A^T A.  (A, not an
-    assembled Lambda, whose smallest eigenvalues drown in rounding.)
+    `singular_vectors` U, `singular_values` s and `right_vectors` V^T are the
+    thin SVD of the whitened forward matrix A (p*K, Q), column q the output of
+    potential q times `root_weights`, the root of the weighted quadrature, so
+    Lambda = A^T A.  Lambda stays factored: an assembled A^T A loses its
+    smallest eigenvalues to rounding, and CG then stalls on them.
     """
 
     def __init__(
@@ -114,11 +117,12 @@ class HumContext:
         self.time_nodes, self.quad_weights = self.grid.nodes, self.grid.weights
         self.weight_values = time_weight(self.alpha, self.time_nodes, weighting)
         self.response = response_matrix(self.alpha, basis.eigenvalues, self.time_nodes)
-        root = np.sqrt(self.quad_weights * self.weight_values)
-        forward = np.stack([(self.forward_channels(e) * root).ravel()
+        self.root_weights = np.sqrt(self.quad_weights * self.weight_values)
+        forward = np.stack([(self.forward_channels(e) * self.root_weights).ravel()
                             for e in np.eye(self.size)], axis=1)
-        u, s, _ = np.linalg.svd(forward, full_matrices=False)
-        self.singular_vectors, self.singular_values = u, s
+        u, s, vt = np.linalg.svd(forward, full_matrices=False)
+        self.singular_vectors, self.singular_values, self.right_vectors = u, s, vt
+        self.lambda_eigenvalues = s**2  # on the rows of V^T, descending
         # Lambda's smallest eigenvalue; Lambda is singular when Q > p*K
         self.smallest_eigenvalue = float(s[-1] ** 2) if s.size == self.size else 0.0
 
@@ -136,10 +140,10 @@ class HumContext:
         return self.kappa @ (c[:, None] * self.response)
 
     def data_functional(self, channels: np.ndarray) -> np.ndarray:
-        """b_q = sum_i int w(t) channels_i(t) [output of potential q]_i(t) dt."""
-        weighted = channels * (self.quad_weights * self.weight_values)[None, :]
-        c = (self.response * (self.kappa.T @ weighted)).sum(axis=1)
-        return self.d_matrix @ c
+        """b_q = sum_i int w(t) channels_i(t) [output of potential q]_i(t) dt,
+        as V S U^T y for the whitened channels y, so both sides round alike."""
+        y = (channels * self.root_weights).ravel()
+        return (y @ self.singular_vectors * self.singular_values) @ self.right_vectors
 
 
 @dataclass(frozen=True)
@@ -156,15 +160,12 @@ class HumResult:
 
 
 def apply_lambda(a: PotentialVector | np.ndarray, context: HumContext) -> np.ndarray:
-    """Gram-weighted image of a potential vector (matrix-free composition).
-
-    Forward-propagates the pulled-back state, observes it, and pairs the
-    weighted output against each potential direction's output.
-    """
+    """Gram-weighted image Lambda a = V S^2 V^T a, from the context's SVD."""
     a = a.coefficients if isinstance(a, PotentialVector) else np.asarray(a, float)
     if a.shape != (context.size,):
         raise DomainError(f"expected {context.size} coefficients, got {a.shape}")
-    return context.data_functional(context.forward_channels(a))
+    vt = context.right_vectors
+    return (vt @ a * context.lambda_eigenvalues) @ vt
 
 
 def _channels_on_mesh(record: ObservationRecord, context: HumContext) -> np.ndarray:
@@ -224,7 +225,7 @@ def _conjugate_gradients(
     r = b.copy()
     p = r.copy()
     rr = float(r @ r)
-    bnorm = float(np.sqrt(rr))
+    bnorm = math.sqrt(rr)
     iterations = 0
     converged = bnorm == 0.0
     while not converged and iterations < config.max_iterations:
@@ -241,11 +242,11 @@ def _conjugate_gradients(
         r -= step * ap
         rr_old, rr = rr, float(r @ r)
         iterations += 1
-        if np.sqrt(rr) <= config.cg_tolerance * bnorm:
+        if math.sqrt(rr) <= config.cg_tolerance * bnorm:
             converged = True
             break
         p = r + (rr / rr_old) * p
-    residual = float(np.sqrt(rr) / bnorm) if bnorm > 0.0 else 0.0
+    residual = math.sqrt(rr) / bnorm if bnorm > 0.0 else 0.0
     return a, iterations, residual, converged
 
 
@@ -329,11 +330,11 @@ def discrepancy_regularization(
         lam_scale * 10.0 ** (-EPS_GRID_DECADES + d / EPS_GRID_PER_DECADE)
         for d in range(EPS_GRID_DECADES * EPS_GRID_PER_DECADE + 1)
     ])
-    y = (channels * np.sqrt(wq)).ravel()
-    u, s = context.singular_vectors, context.singular_values
+    y = (channels * context.root_weights).ravel()
+    u = context.singular_vectors
     beta = u.T @ y
     outside = float(np.sum((y - u @ beta) ** 2))
-    filtered = grid[:, None] / (s[None, :] ** 2 + grid[:, None])
+    filtered = grid[:, None] / (context.lambda_eigenvalues + grid[:, None])
     above = np.flatnonzero((filtered**2) @ beta**2 + outside > delta2)
     first = int(above[0]) if above.size else grid.size
 

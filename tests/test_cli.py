@@ -419,30 +419,57 @@ def test_counterexample_on_another_sensor_suite_is_a_config_error(tmp_path, caps
     assert not (tmp_path / "report.json").exists()
 
 
-def test_reconstruct_reports_the_gradient_gramian_smallest_eigenvalue(tmp_path,
-                                                                        capsys):
-    # reconstruct's Lambda and gram's gradient Gramian are one operator, so
-    # both commands report one smallest eigenvalue, rank-deficient ones too
-    compared = []
+@pytest.fixture(scope="module")
+def gram_and_reconstruct(tmp_path_factory):
+    """{preset: {command: (exit code, payload or None)}} of `gram` and
+    `reconstruct` on every preset; a report written on exit 4 is read too."""
+    runs = {}
     for name in preset_names():
-        payloads = {}
         for command in ("gram", "reconstruct"):
-            out = tmp_path / name / command
+            out = tmp_path_factory.mktemp(f"{name}-{command}")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ConditioningWarning)
                 code = main([command, "--preset", name, "--out", str(out)])
-            if code == 0:
-                payloads[command] = json.loads((out / "report.json").read_text())[
-                    "payload"]
-        capsys.readouterr()
-        if len(payloads) < 2 or payloads["gram"]["kind"] != "gradient":
+            report = out / "report.json"
+            payload = json.loads(report.read_text())["payload"] \
+                if report.exists() else None
+            runs.setdefault(name, {})[command] = code, payload
+    return runs
+
+
+def test_reconstruct_reports_the_gradient_gramian_smallest_eigenvalue(
+        gram_and_reconstruct):
+    # reconstruct's Lambda and gram's gradient Gramian are one operator, so
+    # both commands report one smallest eigenvalue, rank-deficient ones too
+    compared = []
+    for name, runs in gram_and_reconstruct.items():
+        (_, gram), (_, reconstruct) = runs["gram"], runs["reconstruct"]
+        if gram is None or reconstruct is None or gram["kind"] != "gradient":
             continue
-        gram, reconstruct = payloads["gram"], payloads["reconstruct"]
         assert reconstruct["smallest_eigenvalue"] == pytest.approx(
             gram["smallest_eigenvalue"], rel=0.0,
             abs=1e-12 * gram["largest_eigenvalue"]), name
         compared.append(name)
     assert len(compared) == 10, compared
+
+
+def test_reconstruct_refuses_exactly_where_gram_is_singular(gram_and_reconstruct):
+    # reconstruct exits 4 with its report written exactly when gram's Gramian
+    # is not positive definite, and reports Lambda's rank either way
+    refused = []
+    for name, runs in gram_and_reconstruct.items():
+        (gram_code, gram), (code, reconstruct) = runs["gram"], runs["reconstruct"]
+        if gram_code == 2:
+            assert code == 2, name
+            continue
+        assert gram_code == 0 and gram["kind"] == "gradient", name
+        assert code == (0 if gram["positive_definite"] else 4), name
+        full = len(reconstruct["potential_coefficients"])
+        assert (reconstruct["rank"] == full) == gram["positive_definite"], name
+        if code == 4:
+            refused.append(name)
+    assert sorted(refused) == ["case1-zone", "case2-pointwise", "case3-filament",
+                               "gram-zero", "strategic-1d-fail"]
 
 
 def test_gram_and_reconstruct_share_the_test_truncation(tmp_path, capsys):
@@ -470,11 +497,13 @@ def test_gram_command_writes_spectrum(tmp_path, capsys):
     assert payload["positive_definite"] is False
     assert payload["kind"] == "gradient"
     assert abs(payload["largest_eigenvalue"]) < 1e-20
-    # the zero suite's Lambda vanishes: its smallest eigenvalue is 0, not nan
+    # the zero suite's Lambda vanishes: reconstruct refuses it (exit 4), and
+    # its written report gives the smallest eigenvalue 0, not nan, and rank 0
     code = main(["reconstruct", "--preset", "gram-zero", "--out", str(tmp_path)])
-    assert code == 0
+    assert code == 4
     payload = json.loads((tmp_path / "report.json").read_text())["payload"]
     assert payload["smallest_eigenvalue"] == 0.0
+    assert payload["rank"] == 0
 
 
 def test_out_env_variable_is_honored(tmp_path, capsys, monkeypatch):
@@ -495,6 +524,21 @@ def test_out_at_a_file_is_a_config_error(tmp_path, capsys, under):
     err = capsys.readouterr().err
     assert code == 2
     assert "cannot create output directory" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_only_a_command_that_writes_makes_the_output_directory(tmp_path, capsys,
+                                                               blocked):
+    # mlf without --save writes nothing, so it neither leaves an empty --out
+    # behind nor fails on an --out that names a file; with --save it makes it
+    out = tmp_path / "newdir"
+    if blocked:
+        out.write_text("")
+    args = ["mlf", "--alpha", "0.5", "--beta", "0.5", "--z=-2", "--out", str(out)]
+    assert main(args) == 0
+    assert out.is_file() if blocked else not out.exists()
+    assert main(args + ["--save"]) == (2 if blocked else 0)
+    assert blocked or (out / "mlf.csv").is_file()
 
 
 def test_every_preset_is_loadable():

@@ -89,6 +89,34 @@ def test_rhs_from_data_matches_kernel_pairing():
     assert np.max(np.abs(b - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
+def test_factored_lambda_and_data_functional_match_the_output_pairing():
+    # Lambda a and b from the record z = output of a, both read from the
+    # context's SVD factors, equal the weighted pairing of each potential's
+    # output with z, assembled here from forward_channels
+    ctx = _context(4)
+    a = np.random.default_rng(3).normal(size=ctx.size)
+    z = ctx.forward_channels(a)
+    w = ctx.quad_weights * ctx.weight_values
+    expected = np.array([np.sum(w * ctx.forward_channels(e) * z)
+                         for e in np.eye(ctx.size)])
+    record = ObservationRecord(ctx.time_grid(), z)
+    for got in (apply_lambda(a, ctx), rhs_from_data(record, ctx)):
+        assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+def test_unregularized_cg_converges_on_the_factored_lambda():
+    # Q = 25 on a half strip seen by three points: Lambda's small eigenvalues
+    # survive in V S^2 V^T, where an assembled A^T A loses them to rounding
+    # and CG then runs out of its 2,000 iterations on noisy records
+    ctx = _context(5)
+    y0 = _state(ctx.basis, [((1, 1), 1.0), ((2, 3), 0.5)])
+    config = HumConfig(cg_tolerance=1e-12, max_iterations=2000)
+    for seed in range(3):
+        record = simulate(y0, ctx.suite, 0.8, ctx.time_grid(),
+                          noise_sigma=1e-2, noise_seed=seed)
+        assert solve(record, config, ctx).converged, seed
+
+
 def test_synthetic_recovery_is_exact_at_matched_truncation():
     ctx = _context(2)
     y0 = _state(ctx.basis, [((1, 1), 1.0), ((2, 2), -0.4)])
