@@ -177,6 +177,11 @@ def _channels_on_mesh(record: ObservationRecord, context: HumContext) -> np.ndar
     of them if fewer), then multiplied by t**(alpha-1); a coarser record
     grid warns.  The discrepancy rule assumes iid noise only on the mesh.
     """
+    if record.channels.shape[0] != len(context.suite):
+        raise DomainError(
+            f"record has {record.channels.shape[0]} channels, suite has "
+            f"{len(context.suite)}"
+        )
     nodes = record.grid.nodes
     mesh = context.time_nodes
     if nodes.size == mesh.size and np.allclose(nodes, mesh, rtol=0.0, atol=1e-14):
@@ -205,11 +210,6 @@ def _channels_on_mesh(record: ObservationRecord, context: HumContext) -> np.ndar
 
 def rhs_from_data(record: ObservationRecord, context: HumContext) -> np.ndarray:
     """Data-side functional b from measured channels on the context mesh."""
-    if record.channels.shape[0] != len(context.suite):
-        raise DomainError(
-            f"record has {record.channels.shape[0]} channels, suite has "
-            f"{len(context.suite)}"
-        )
     return context.data_functional(_channels_on_mesh(record, context))
 
 
@@ -319,8 +319,8 @@ def discrepancy_regularization(
         raise DomainError("noise level must be >= 0")
     if noise_sigma == 0.0:
         return 0.0
-    b = rhs_from_data(record, context)
     channels = _channels_on_mesh(record, context)
+    b = context.data_functional(channels)
     wq = context.quad_weights * context.weight_values
     delta2 = DISCREPANCY_FACTOR**2 * noise_sigma**2 * len(context.suite) \
         * float(np.sum(wq))

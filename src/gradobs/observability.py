@@ -53,7 +53,7 @@ GRADIENT = "gradient"
 
 
 class ConditioningWarning(UserWarning):
-    """Gramian eigenvalue ratio exceeds the conditioning threshold."""
+    """Gramian eigenvalue ratio, largest over |smallest|, exceeds the threshold."""
 
 
 @dataclass(frozen=True)
@@ -223,10 +223,12 @@ def _spectrum_report(kind: str, gram: np.ndarray, test_modes) -> GramReport:
     largest = float(eigenvalues[-1])
     smallest = float(eigenvalues[0])
     pd = largest > 0.0 and smallest > NULL_REL_TOL * largest
-    if smallest > 0.0 and largest / smallest > CONDITION_WARN:
+    # by |smallest|: a singular Gramian's smallest eigenvalue is rounding
+    # noise of either sign
+    if largest > 0.0 and largest > CONDITION_WARN * abs(smallest):
+        ratio = largest / abs(smallest) if smallest else math.inf
         warnings.warn(
-            f"Gramian eigenvalue ratio {largest / smallest:.2e} exceeds "
-            f"{CONDITION_WARN:.0e}",
+            f"Gramian eigenvalue ratio {ratio:.2e} exceeds {CONDITION_WARN:.0e}",
             ConditioningWarning,
             stacklevel=3,
         )

@@ -6,8 +6,8 @@ rectangle, pointwise sensors evaluate at a point, and filament sensors
 integrate along an axis-aligned segment.  Each sensor is one linear
 functional on the state, realized as a weighted tensor-product rule per
 rectangle (a pointwise sensor is its location, a 1 x 1 rule of weight 1),
-evaluated axis by axis into one coupling number per basis mode, or per mode
-and gradient axis.
+one rule per pass that resolves its top mode index, evaluated axis by axis
+into one coupling number per mode of the pass, or per mode and gradient axis.
 """
 
 from __future__ import annotations
@@ -116,9 +116,10 @@ class SensorSuite:
 
 
 def _tensor_grids(sensor: Sensor, max_index: int) -> list:
-    """(per-axis nodes, W) grids: a zone's rectangles, a filament's n x 1 (1 x n
-    along axis 1), a point's 1 x 1.  W, of shape (n_1, ..., n_dim), is weight
-    times distribution, formed on the flat grid and then reshaped."""
+    """(per-axis nodes, W) grids on the rule resolving indices up to max_index:
+    a zone's rectangles, a filament's n x 1 (1 x n along axis 1), a point's
+    1 x 1.  W, of shape (n_1, ..., n_dim), is weight times distribution,
+    formed on the flat grid and then reshaped."""
     if sensor.kind == POINTWISE:
         point = sensor.geometry
         return [([np.array([c]) for c in point], np.ones((1,) * len(point)))]
@@ -137,24 +138,19 @@ def _tensor_grids(sensor: Sensor, max_index: int) -> list:
 def coupling_tables(suite: SensorSuite, indices: np.ndarray,
                     gradients: bool = False) -> np.ndarray:
     """kappa[i, j] = (f_i, xi_j) for the modes with indices (M, dim) or, with
-    gradients, G[s, i, j] = (f_i, d(xi_j)/dx_s): each sensor grid's W, one set
-    for a point and one per distinct mode max index otherwise, summed axis by
-    axis against the sine tables (derivatives on axis s) of the modes' indices."""
-    dim = indices.shape[1]
-    max_indices = indices.max(axis=1)
+    gradients, G[s, i, j] = (f_i, d(xi_j)/dx_s): each sensor's grids W on the
+    rule of the pass's top index, summed axis by axis against the sine tables
+    (derivatives on axis s) of every index up to it, each mode's entry picked."""
+    dim, top = indices.shape[1], int(indices.max())
+    pick = tuple(indices.T - 1)
     out = np.zeros((dim if gradients else 1, len(suite), len(indices)))
     for i, sensor in enumerate(suite.sensors):
-        point = sensor.kind == POINTWISE
-        for max_index in [max_indices.max()] if point else np.unique(max_indices):
-            sel = slice(None) if point else max_indices == max_index
-            js, rows = zip(*(np.unique(col, return_inverse=True)
-                             for col in indices[sel].T))
-            for nodes, w in _tensor_grids(sensor, int(max_index)):
-                if len(nodes) != dim:
-                    raise DomainError(f"{len(nodes)}-D sensor given for {dim}-D modes")
-                tables = [axis_tables(j, x) for j, x in zip(js, nodes)]
-                for k, s in enumerate(range(dim) if gradients else [None]):
-                    out[k, i, sel] += contract(w, tables, s)[rows]
+        for nodes, w in _tensor_grids(sensor, top):
+            if len(nodes) != dim:
+                raise DomainError(f"{len(nodes)}-D sensor given for {dim}-D modes")
+            tables = [axis_tables(np.arange(1, top + 1), x) for x in nodes]
+            for k, s in enumerate(range(dim) if gradients else [None]):
+                out[k, i] += contract(w, tables, s)[pick]
     out *= np.sqrt(2.0) ** dim
     return out if gradients else out[0]
 

@@ -185,6 +185,11 @@ def test_coarse_observation_grid_warns_and_interpolates():
     record = simulate(y0, ctx.suite, 0.8, coarse)
     with pytest.warns(UserWarning, match="coarser"):
         b = rhs_from_data(record, ctx)
+    # the discrepancy rule resamples the record once: one warning per call
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        discrepancy_regularization(record, HumConfig(), ctx, 1e-3)
+    assert len(seen) == 1 and "coarser" in str(seen[0].message)
     dense = simulate(y0, ctx.suite, 0.8, ctx.time_grid())
     b_ref = rhs_from_data(dense, ctx)
     assert np.max(np.abs(b - b_ref)) < 0.1 * np.max(np.abs(b_ref))
@@ -235,6 +240,8 @@ def test_validation_errors():
     bad = ObservationRecord(ctx.time_grid(), np.zeros((2, ctx.time_nodes.size)))
     with pytest.raises(DomainError):
         rhs_from_data(bad, ctx)
+    with pytest.raises(DomainError):
+        discrepancy_regularization(bad, HumConfig(), ctx, 1e-3)
 
 
 def test_discrepancy_regularization_trivial_cases():

@@ -1,6 +1,7 @@
 """Strategic rank tests, kernel tests and the observability Gramians."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from gradobs.observability import (
     COMPONENT,
     GRADIENT,
     ConditioningWarning,
+    _spectrum_report,
     build_g_matrices,
     grad_overlap_matrix,
     gram_regional,
@@ -29,7 +31,7 @@ from gradobs.sensing import (
     SensorSuite,
     counterexample_sensor,
     coupling_matrix,
-    grad_coupling,
+    coupling_tables,
 )
 from gradobs.spectral import (
     Region,
@@ -106,10 +108,13 @@ def test_gradient_couplings_match_per_element_assembly():
     ))
     gset = build_g_matrices(basis, suite)
     assert len(gset.matrices) == len(basis.groups)
+    # each sensor alone in a pass over the whole basis: (dim, M) per sensor
+    alone = [coupling_tables(SensorSuite((sensor,)), basis.indices,
+                             gradients=True)[:, 0] for sensor in suite.sensors]
     for group, per_axis in zip(basis.groups, gset.matrices):
         for s, m in enumerate(per_axis):
-            expected = [[grad_coupling(sensor, mode, s) for mode in group.members]
-                        for sensor in suite.sensors]
+            expected = [[g[s, basis.index_of(mode.indices)] for mode in group.members]
+                        for g in alone]
             assert np.array_equal(m, np.array(expected))
     # component Gramian: sum over sensors of rows V rows^T, with row block s
     # the overlaps R scaled by the sensor's axis-s gradient couplings
@@ -121,11 +126,8 @@ def test_gradient_couplings_match_per_element_assembly():
     r = overlap_matrix(build_basis(2, 3), basis, region)
     v = response_kernel_matrix(0.7, basis.eigenvalues, 1.0, "none")
     gram = np.zeros((2 * len(r), 2 * len(r)))
-    for sensor in suite.sensors:
-        rows = np.vstack([
-            r * np.array([grad_coupling(sensor, mode, s) for mode in basis.modes])
-            for s in range(2)
-        ])
+    for g in alone:
+        rows = np.vstack([r * g[s] for s in range(2)])
         gram += rows @ v @ rows.T
     assert np.array_equal(report.matrix, 0.5 * (gram + gram.T))
 
@@ -178,10 +180,11 @@ def test_gradient_gram_annihilates_invisible_direction():
     # quadratic form must vanish on the matching unit vector
     basis = build_basis(2, 4)
     suite = SensorSuite((counterexample_sensor(),))
-    report = gram_regional(
-        basis, suite, 0.5, 1.0, whole_domain(2),
-        truncation=4, weighting="compensated", kind=GRADIENT,
-    )
+    with pytest.warns(ConditioningWarning):  # the Gramian is singular
+        report = gram_regional(
+            basis, suite, 0.5, 1.0, whole_domain(2),
+            truncation=4, weighting="compensated", kind=GRADIENT,
+        )
     test_basis_index = report.test_modes.index((1, 3))
     a = np.zeros(report.matrix.shape[0])
     a[test_basis_index] = 1.0
@@ -305,6 +308,19 @@ def test_conditioning_warning_fires_for_deep_truncation():
         gram_regional(
             basis, suite, 0.7, 1.0, whole_domain(1), truncation=11, kind=COMPONENT
         )
+
+
+def test_conditioning_warning_goes_by_the_size_of_the_smallest_eigenvalue():
+    # a singular Gramian's smallest eigenvalue is rounding noise of either
+    # sign; an exact 0 reads as an infinite ratio
+    for smallest, ratio in [(-1e-17, "1.00e+17"), (1e-17, "1.00e+17"), (0.0, "inf")]:
+        with pytest.warns(ConditioningWarning, match=re.escape(f"ratio {ratio} ")):
+            report = _spectrum_report(GRADIENT, np.diag([smallest, 1.0]), ())
+        assert not report.positive_definite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _spectrum_report(GRADIENT, np.zeros((2, 2)), ())  # no scale to compare
+        _spectrum_report(GRADIENT, np.diag([-1e-11, 1.0]), ())
 
 
 def test_kernel_test_counterexample_field():

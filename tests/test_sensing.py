@@ -74,27 +74,28 @@ def test_filament_coupling_selects_first_transverse_mode():
         assert got == pytest.approx(expected, abs=1e-13)
 
 
-def _flat_couplings(sensor, basis):
+def _flat_couplings(sensor, modes, top):
     """The couplings as flat per-point sums sum w f t(xi_j), t the value and
-    each d/dx_s, on the sensor's points for each mode's max index: region
-    quadrature for a zone, segment nodes for a filament, the point itself."""
-    out = np.empty((1 + basis.dimension, len(basis)))
-    for j, mode in enumerate(basis.modes):
-        top = max(mode.indices)
-        if sensor.kind == ZONE:
-            grid = region_quadrature(sensor.geometry, top)
-            pts, w = grid.points, grid.weights * sensor.distribution(grid.points)
-        elif sensor.kind == FILAMENT:
-            fil = sensor.geometry
-            s, w = interval_rule(*fil.interval, top)
-            pts = np.full((s.size, 2), fil.fixed)
-            pts[:, fil.axis] = s
-            w = w * sensor.distribution(pts)
-        else:
-            pts, w = np.array([sensor.geometry]), np.ones(1)
-        out[0, j] = np.sum(w * mode.eval(pts))
-        out[1:, j] = w @ mode.grad(pts)
-    return out
+    each d/dx_s, on the sensor's points of the rule resolving indices up to
+    top: region quadrature for a zone, segment nodes for a filament, the
+    point itself."""
+    if sensor.kind == ZONE:
+        grid = region_quadrature(sensor.geometry, top)
+        pts, w = grid.points, grid.weights * sensor.distribution(grid.points)
+    elif sensor.kind == FILAMENT:
+        fil = sensor.geometry
+        s, w = interval_rule(*fil.interval, top)
+        pts = np.full((s.size, 2), fil.fixed)
+        pts[:, fil.axis] = s
+        w = w * sensor.distribution(pts)
+    else:
+        pts, w = np.array([sensor.geometry]), np.ones(1)
+    return np.array([[np.sum(w * mode.eval(pts)), *(w @ mode.grad(pts))]
+                     for mode in modes]).T
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_coupling_matrix_consistency():
@@ -104,11 +105,15 @@ def test_coupling_matrix_consistency():
     assert kappa.shape == (2, 3)
     for i, sensor in enumerate(suite.sensors):
         for j, mode in enumerate(basis.modes):
-            one = np.array([mode.indices])  # the mode alone in its pass
+            # a point's 1 x 1 rule is the same in every pass, so its
+            # couplings keep every bit with the mode alone in its pass
+            one = np.array([mode.indices])
             assert kappa[i, j] == coupling_tables(SensorSuite((sensor,)), one)[0, 0]
-    # every sensor kind, values and both gradient axes, entry by entry, and
-    # against the flat per-point sums, which evaluate each mode on the
-    # flattened rule with `Mode.eval`/`grad` instead of axis by axis
+    # every sensor kind, values and both gradient axes: bitwise those of the
+    # sensor alone in its pass, and against the flat per-point sums, which
+    # evaluate each mode on the flattened rule of the pass's top index with
+    # `Mode.eval`/`grad` instead of axis by axis; `grad_coupling`, a one-mode
+    # pass, against the flat sums on the mode's own rule
     x = np.linspace(0.0, 1.0, 6)
     suites = [(build_basis(2, 4), (
         Sensor(ZONE, Region((((0.1, 0.4), (0.2, 0.7)),)),
@@ -133,14 +138,18 @@ def test_coupling_matrix_consistency():
         assert (coupling_tables(suite, basis.indices) == kappa).all()
         grads = coupling_tables(suite, basis.indices, gradients=True)
         for i, sensor in enumerate(suite.sensors):
-            for j, mode in enumerate(basis.modes):
-                one = np.array([mode.indices])  # the mode alone in its pass
-                assert kappa[i, j] == coupling_tables(SensorSuite((sensor,)), one)[0, 0]
-                for s in range(basis.dimension):
-                    assert grads[s, i, j] == grad_coupling(sensor, mode, s)
-            ref = _flat_couplings(sensor, basis)
+            alone = SensorSuite((sensor,))
+            assert np.array_equal(kappa[i], coupling_tables(alone, basis.indices)[0])
+            alone_grads = coupling_tables(alone, basis.indices, gradients=True)
+            assert np.array_equal(grads[:, i], alone_grads[:, 0])
+            ref = _flat_couplings(sensor, basis.modes, int(basis.indices.max()))
             for got, want in zip([kappa[i], *grads[:, i]], ref):
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+                assert _close(got, want)
+            own = np.hstack([_flat_couplings(sensor, [mode], max(mode.indices))
+                             for mode in basis.modes])
+            for s in range(basis.dimension):
+                got = np.array([grad_coupling(sensor, mode, s) for mode in basis.modes])
+                assert _close(got, own[1 + s])
 
 
 def test_bilinear_table_reproduces_bilinear_function():
