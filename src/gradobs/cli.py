@@ -70,11 +70,11 @@ from .dynamics import (
 from .observability import (
     COMPONENT,
     GRADIENT,
-    NULL_REL_TOL,
     GramReport,
     build_g_matrices,
     gram_regional,
     kernel_test,
+    numerical_rank,
     strategic_test_1d,
 )
 from .hum import HumConfig, HumContext, reconstruction_error, solve
@@ -547,9 +547,7 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
             noise_seed=experiment.noise_seed,
         )
     result = solve(record, experiment.hum, context)
-    # Lambda's rank by gram's positive-definiteness threshold
-    lam = context.lambda_eigenvalues
-    rank = int(np.count_nonzero(lam > NULL_REL_TOL * lam[0]))
+    rank = numerical_rank(context.lambda_eigenvalues)
     state_coefficients = context.d_matrix.T @ result.potential.coefficients
     state = SpectralField(experiment.basis, state_coefficients)
     _write(out_dir, "gradient.csv", _gradient_csv(state, experiment.region))

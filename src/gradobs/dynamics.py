@@ -50,13 +50,14 @@ class TimeGrid:
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if self.horizon <= 0.0:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
-        if nodes.size == 0 or np.any(nodes <= 0.0) or np.any(np.diff(nodes) <= 0.0):
+        # each test is stated so that NaN fails it
+        if not 0.0 < self.horizon < math.inf:
+            raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
+        if not (nodes.size and np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):
             raise DomainError("nodes must be strictly increasing and exclude t=0")
-        if nodes[-1] > self.horizon or np.any(weights <= 0.0):
+        if not (nodes[-1] <= self.horizon and np.all(weights > 0.0)):
             raise DomainError("nodes must lie in (0, b] with positive weights")
-        if abs(float(np.sum(weights)) - self.horizon) > 1e-12 * max(1.0, self.horizon):
+        if not abs(float(np.sum(weights)) - self.horizon) <= 1e-12 * max(1.0, self.horizon):
             raise DomainError("weights must sum to the horizon")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -67,6 +68,8 @@ def time_grid(alpha: float, horizon: float) -> TimeGrid:
     (0, b), the left half's edges graded as u**q toward 0, mirrored about b/2."""
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"fractional order must be in (0, 1], got {alpha}")
+    if not 0.0 < horizon < math.inf:  # before numpy meets it in the edges
+        raise DomainError(f"horizon must be positive and finite, got {horizon}")
     left = _graded_edges(0.0, 0.5 * horizon, TIME_PANELS // 2, grading_exponent(alpha))
     return TimeGrid(horizon, *gauss_panels(np.concatenate([left, horizon - left[-2::-1]])))
 
@@ -133,6 +136,8 @@ def simulate(
     noise_seed: int | None = None,
 ) -> ObservationRecord:
     """Sensor outputs z_i(t_k) of the mild solution from initial state y0."""
+    if not 0.0 <= noise_sigma < math.inf:
+        raise DomainError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
     kappa = coupling_matrix(suite, y0.basis)
     resp = response_matrix(alpha, y0.basis.eigenvalues, grid.nodes)
     channels = kappa @ (y0.coefficients[:, None] * resp)
@@ -154,72 +159,6 @@ def check_weighting(alpha: float, weighting: str) -> None:
             f"alpha={alpha} <= 1/2 makes the unweighted response non-square-"
             "integrable; use the 'compensated' weighting"
         )
-
-
-POINT_KERNEL_PANELS = 48
-
-
-def _point_kernel_mesh(lo: float, hi: float, alpha: float
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Mesh graded toward `lo` hard enough to resolve s**(alpha-1) endpoints.
-
-    Grading exponent ~(2m+1)/alpha restores the full composite-Gauss order
-    against the algebraic singularity; panel products stay finite in double
-    precision because weights shrink as fast as the integrand grows.
-    """
-    return gauss_panels(_graded_edges(lo, hi, POINT_KERNEL_PANELS, 17.0 / alpha))
-
-
-def duhamel_weight(
-    alpha: float,
-    lambda_j: float,
-    lambda_k: float,
-    b: float,
-    weighting: str = WEIGHTING_NONE,
-) -> float:
-    """Convolution integral of two mode responses over [0, b].
-
-    I = int_0^b w(s) s**(a-1) E_{a,a}(lam_j s**a) (b-s)**(a-1)
-        E_{a,a}(lam_k (b-s)**a) ds,
-    w = 1 (`none`, alpha > 1/2 only) or w = s**(1-a)(b-s)**(1-a)
-    (`compensated`).  Folded onto (0, b/2] by the s <-> b-s symmetry so the
-    only quadrature singularity sits at the graded end of the mesh.
-    """
-    if b <= 0.0:
-        raise DomainError(f"horizon must be positive, got {b}")
-    check_weighting(alpha, weighting)
-    s, wq = _point_kernel_mesh(0.0, 0.5 * b, alpha)
-    fjl, fkl = response_matrix(alpha, [lambda_j, lambda_k], s)
-    fjr, fkr = response_matrix(alpha, [lambda_j, lambda_k], b - s)
-    w = np.ones_like(s)
-    if weighting == WEIGHTING_COMPENSATED:
-        w = (s * (b - s)) ** (1.0 - alpha)
-    return float(np.sum(wq * w * (fjl * fkr + fjr * fkl)))
-
-
-def response_gram_weight(
-    alpha: float,
-    lambda_j: float,
-    lambda_k: float,
-    b: float,
-    weighting: str = WEIGHTING_NONE,
-) -> float:
-    """Same-time product integral of two mode responses over [0, b].
-
-    V = int_0^b w(s) s**(a-1) E_{a,a}(lam_j s**a) s**(a-1)
-        E_{a,a}(lam_k s**a) ds,
-    w = 1 (`none`) or w = s**(2(1-a)) (`compensated`).  This is the kernel of
-    the output-energy quadratic form int_0^b w ||z||**2 dt.
-    """
-    if b <= 0.0:
-        raise DomainError(f"horizon must be positive, got {b}")
-    check_weighting(alpha, weighting)
-    nodes, wq = _point_kernel_mesh(0.0, b, alpha)
-    fj, fk = response_matrix(alpha, [lambda_j, lambda_k], nodes)
-    w = np.ones_like(nodes)
-    if weighting == WEIGHTING_COMPENSATED:
-        w = nodes ** (2.0 * (1.0 - alpha))
-    return float(np.sum(wq * w * fj * fk))
 
 
 def time_weight(alpha: float, nodes: np.ndarray, weighting: str) -> np.ndarray:

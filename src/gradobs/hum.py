@@ -71,11 +71,12 @@ class HumConfig:
     regularization: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.cg_tolerance <= 0.0:
-            raise DomainError("cg tolerance must be positive")
-        if self.regularization < 0.0:
-            raise DomainError("regularization must be >= 0")
-        if self.max_iterations < 1:
+        # stated so that NaN fails them
+        if not 0.0 < self.cg_tolerance < math.inf:
+            raise DomainError("cg tolerance must be positive and finite")
+        if not 0.0 <= self.regularization < math.inf:
+            raise DomainError("regularization must be >= 0 and finite")
+        if not self.max_iterations >= 1:
             raise DomainError("max iterations must be >= 1")
 
 
@@ -315,8 +316,8 @@ def discrepancy_regularization(
     Near the noise level a CG misfit can sit on the other side of it than the
     exact one, and the returned eps must hold for the solution callers get.
     """
-    if noise_sigma < 0.0:
-        raise DomainError("noise level must be >= 0")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise DomainError("noise level must be >= 0 and finite")
     if noise_sigma == 0.0:
         return 0.0
     channels = _channels_on_mesh(record, context)

@@ -217,12 +217,20 @@ def grad_overlap_matrix(test_basis: Basis, basis: Basis, region: Region) -> np.n
     return _region_overlap(test_basis, basis, region, gradients=True)
 
 
+def numerical_rank(eigenvalues: np.ndarray) -> int:
+    """Eigenvalues above NULL_REL_TOL times the largest: the rank rule of
+    the Gramian verdicts and of reconstruct's refusal (0 when none is
+    positive)."""
+    eigenvalues = np.asarray(eigenvalues)
+    return int(np.count_nonzero(eigenvalues > NULL_REL_TOL * eigenvalues.max()))
+
+
 def _spectrum_report(kind: str, gram: np.ndarray, test_modes) -> GramReport:
     gram = 0.5 * (gram + gram.T)
     eigenvalues = np.linalg.eigvalsh(gram)
     largest = float(eigenvalues[-1])
     smallest = float(eigenvalues[0])
-    pd = largest > 0.0 and smallest > NULL_REL_TOL * largest
+    pd = numerical_rank(eigenvalues) == eigenvalues.size
     # by |smallest|: a singular Gramian's smallest eigenvalue is rounding
     # noise of either sign
     if largest > 0.0 and largest > CONDITION_WARN * abs(smallest):

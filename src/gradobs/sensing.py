@@ -156,7 +156,13 @@ def coupling_tables(suite: SensorSuite, indices: np.ndarray,
 
 
 def grad_coupling(sensor: Sensor, mode: Mode, axis: int) -> float:
-    """(f, d(xi_mode)/dx_axis) over the sensor support (axis is 0-based)."""
+    """(f, d(xi_mode)/dx_axis) over the sensor support (axis is 0-based).
+
+    A one-mode pass, so it integrates on the mode's own rule: for a zone or
+    filament it differs from the entry of a suite pass, which uses the rule
+    of the pass's top index (1.7e-6 relative on a bilinear zone, where the
+    values differ by 2.6e-6).  Pointwise sensors agree bit for bit.
+    """
     if not 0 <= axis < len(mode.indices):
         raise DomainError(f"axis {axis} invalid in {len(mode.indices)}-D")
     suite, indices = SensorSuite((sensor,)), np.array([mode.indices])

@@ -1,11 +1,10 @@
-"""Forward dynamics, time quadratures and the response-product integrals.
+"""Forward dynamics, the time rule and the Gram time kernel's closed forms.
 
-The convolution reference values were generated independently with mpmath at
-high precision: for the unweighted case via the inverse Laplace transform
-L^{-1}[1 / ((s^a + x)(s^a + y))](b), for the compensated case via adaptive
-quadrature with Talbot-inverted pointwise responses.
+The fractional-order values of the Gram kernel are checked against a frozen
+mpmath table by acceptance check A6 (`test_acceptance.py`).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -17,38 +16,16 @@ from gradobs.dynamics import (
     TimeGrid,
     WEIGHTING_COMPENSATED,
     WEIGHTING_NONE,
-    duhamel_weight,
-    response_gram_weight,
     response_matrix,
     simulate,
     time_grid,
 )
 from gradobs.mlf import mlf
+from gradobs.observability import response_kernel_matrix
 from gradobs.sensing import POINTWISE, Sensor, SensorSuite
 from gradobs.spectral import SpectralField, build_basis
 
 PI2 = math.pi**2
-
-# (alpha, j, k, value): int_0^1 resp_j(s) resp_k(1-s) ds with lambda = -(j pi)^2
-DUHAMEL_ORACLE = [
-    (0.6, 1, 1, 0.00060995909160311656),
-    (0.6, 1, 2, 9.3632252236893072e-5),
-    (0.6, 2, 3, 2.8814945584804606e-6),
-    (0.75, 1, 1, 0.00058465156844876287),
-    (0.75, 1, 2, 8.3698632426966321e-5),
-    (0.75, 2, 3, 2.290040136117353e-6),
-    (0.9, 1, 1, 0.00038230633137123468),
-    (0.9, 1, 2, 4.7856437628898587e-5),
-    (0.9, 2, 3, 1.0908407922273883e-6),
-]
-
-# same integral with the weight (s(1-s))**(1-a), which keeps it finite
-# for a <= 1/2
-DUHAMEL_COMPENSATED_ORACLE = [
-    (0.4, 1, 1, 3.604776897068572e-5),
-    (0.4, 1, 2, 2.7675788398028366e-6),
-    (0.4, 2, 3, 4.3553536803754124e-8),
-]
 
 
 def test_time_grid_properties():
@@ -111,56 +88,30 @@ def test_integer_order_responses_are_the_exact_branch_bits(shape):
             assert resp[j, k] == mlf(1.0, 1.0, lam * t)
 
 
-@pytest.mark.parametrize("alpha,j,k,expected", DUHAMEL_ORACLE)
-def test_convolution_integral_against_oracle(alpha, j, k, expected):
-    value = duhamel_weight(alpha, -(j**2) * PI2, -(k**2) * PI2, 1.0)
-    assert value == pytest.approx(expected, rel=1e-8)
-
-
-@pytest.mark.parametrize("alpha,j,k,expected", DUHAMEL_COMPENSATED_ORACLE)
-def test_compensated_convolution_against_oracle(alpha, j, k, expected):
-    value = duhamel_weight(
-        alpha, -(j**2) * PI2, -(k**2) * PI2, 1.0, WEIGHTING_COMPENSATED
-    )
-    assert value == pytest.approx(expected, rel=1e-7)
-
-
-def test_convolution_integer_order_closed_form():
-    # int_0^b e^{lj s} e^{lk (b-s)} ds
-    for lj, lk in [(-PI2, -4 * PI2), (-PI2, -9 * PI2), (-4 * PI2, -4 * PI2)]:
-        if lj != lk:
-            expected = (math.exp(lj) - math.exp(lk)) / (lj - lk)
-        else:
-            expected = math.exp(lj)
-        assert duhamel_weight(1.0, lj, lk, 1.0) == pytest.approx(
-            expected, rel=1e-9
-        )
-
-
 def test_same_time_product_integer_order_closed_form():
-    # int_0^b e^{(lj+lk)s} ds = (e^{(lj+lk)b} - 1) / (lj + lk)
-    for lj, lk in [(-PI2, -4 * PI2), (-PI2, -PI2), (-4 * PI2, -9 * PI2)]:
+    # V[j,k] = int_0^b e^{(lj+lk)s} ds = (e^{(lj+lk)b} - 1) / (lj + lk)
+    lams = np.array([-PI2, -4 * PI2, -9 * PI2])
+    v = response_kernel_matrix(1.0, lams, 1.0, WEIGHTING_NONE)
+    for (j, lj), (k, lk) in itertools.product(enumerate(lams), repeat=2):
         expected = (math.exp(lj + lk) - 1.0) / (lj + lk)
-        assert response_gram_weight(1.0, lj, lk, 1.0) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert v[j, k] == pytest.approx(expected, rel=1e-12)
 
 
 def test_unweighted_integrals_reject_small_alpha():
     # the unweighted response is not square integrable for alpha <= 1/2
     with pytest.raises(DomainError):
-        duhamel_weight(0.5, -PI2, -PI2, 1.0, WEIGHTING_NONE)
+        response_kernel_matrix(0.5, [-PI2], 1.0, WEIGHTING_NONE)
     with pytest.raises(DomainError):
-        response_gram_weight(0.4, -PI2, -PI2, 1.0, WEIGHTING_NONE)
+        response_kernel_matrix(0.4, [-PI2], 1.0, WEIGHTING_NONE)
     with pytest.raises(DomainError):
-        duhamel_weight(0.6, -PI2, -PI2, 1.0, "sqrt")
+        response_kernel_matrix(0.6, [-PI2], 1.0, "sqrt")
 
 
 def test_response_integrals_reject_positive_eigenvalue():
     with pytest.raises(DomainError):
-        duhamel_weight(0.6, -PI2, 1.0, 1.0)
+        response_kernel_matrix(0.6, [-PI2, 1.0], 1.0, WEIGHTING_NONE)
     with pytest.raises(DomainError):
-        response_gram_weight(0.6, 1.0, -PI2, 1.0)
+        response_kernel_matrix(0.6, [1.0, -PI2], 1.0, WEIGHTING_COMPENSATED)
 
 
 def test_simulate_heat_limit_matches_semigroup():

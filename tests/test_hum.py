@@ -8,7 +8,13 @@ import pytest
 
 import gradobs.hum as hum_module
 from gradobs.errors import DomainError
-from gradobs.dynamics import ObservationRecord, TimeGrid, grading_exponent, simulate
+from gradobs.dynamics import (
+    ObservationRecord,
+    TimeGrid,
+    grading_exponent,
+    simulate,
+    time_grid,
+)
 from gradobs.hum import (
     DISCREPANCY_FACTOR,
     EPS_GRID_DECADES,
@@ -244,6 +250,38 @@ def test_validation_errors():
         discrepancy_regularization(bad, HumConfig(), ctx, 1e-3)
 
 
+def _clean_record(ctx):
+    return simulate(_state(ctx.basis, [((1, 1), 1.0)]), ctx.suite, 0.8, ctx.time_grid())
+
+
+NON_FINITE = {
+    "grid-horizon": lambda ctx: TimeGrid(math.nan, np.array([0.5]), np.array([1.0])),
+    "grid-node": lambda ctx: TimeGrid(1.0, np.array([0.5, math.nan]),
+                                      np.array([0.5, 0.5])),
+    "time-grid-nan": lambda ctx: time_grid(0.8, math.nan),
+    "time-grid-inf": lambda ctx: time_grid(0.8, math.inf),
+    "regularization-nan": lambda ctx: HumConfig(regularization=math.nan),
+    "regularization-inf": lambda ctx: HumConfig(regularization=math.inf),
+    "cg-tolerance-nan": lambda ctx: HumConfig(cg_tolerance=math.nan),
+    "max-iterations-nan": lambda ctx: HumConfig(max_iterations=math.nan),
+    "simulate-sigma-nan": lambda ctx: simulate(
+        _state(ctx.basis, [((1, 1), 1.0)]), ctx.suite, 0.8, ctx.time_grid(),
+        noise_sigma=math.nan, noise_seed=0),
+    "sigma-nan": lambda ctx: discrepancy_regularization(
+        _clean_record(ctx), HumConfig(), ctx, math.nan),
+    "sigma-inf": lambda ctx: discrepancy_regularization(
+        _clean_record(ctx), HumConfig(), ctx, math.inf),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_inputs_raise_domain_error(call):
+    # NaN fails every comparison, so each check must be stated so that it
+    # fails on NaN too
+    with pytest.raises(DomainError):
+        call(_context(2))
+
+
 def test_discrepancy_regularization_trivial_cases():
     ctx = _context(2)
     y0 = _state(ctx.basis, [((1, 1), 1.0)])
@@ -277,6 +315,22 @@ def test_discrepancy_regularization_beats_unregularized_under_noise():
         )
         err_tuned = reconstruction_error(tuned.gradient, truth)
         assert err_tuned < 0.8 * err_plain
+
+
+@pytest.mark.filterwarnings("ignore:observation grid")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the off-mesh "
+                   "resampling raises the noise energy above the rule's level, "
+                   "so eps = 0")
+def test_off_mesh_noisy_record_gets_regularized():
+    # the regularize workload's truncation-5 context and the noisy record of
+    # the test above, sampled on 30 graded panels (240 nodes) off the mesh
+    ctx = _context(5)
+    y0 = _state(ctx.basis, [((1, 1), 1.0), ((2, 3), 0.5)])
+    edges = np.linspace(0.0, 1.0, 31) ** grading_exponent(0.8)
+    grid = TimeGrid(1.0, *gauss_panels(edges))
+    record = simulate(y0, ctx.suite, 0.8, grid, noise_sigma=1e-3, noise_seed=0)
+    eps = discrepancy_regularization(record, HumConfig(1e-12, 400), ctx, 1e-3)
+    assert eps > 0.0
 
 
 def _cg_discrepancy_scan(record, config, ctx, sigma):

@@ -12,12 +12,14 @@ from gradobs.dynamics import TimeGrid, grading_exponent, simulate, time_grid
 from gradobs.observability import (
     COMPONENT,
     GRADIENT,
+    NULL_REL_TOL,
     ConditioningWarning,
     _spectrum_report,
     build_g_matrices,
     grad_overlap_matrix,
     gram_regional,
     kernel_test,
+    numerical_rank,
     overlap_matrix,
     response_kernel_matrix,
     strategic_test_1d,
@@ -321,6 +323,30 @@ def test_conditioning_warning_goes_by_the_size_of_the_smallest_eigenvalue():
         warnings.simplefilter("error")
         _spectrum_report(GRADIENT, np.zeros((2, 2)), ())  # no scale to compare
         _spectrum_report(GRADIENT, np.diag([-1e-11, 1.0]), ())
+
+
+@pytest.mark.parametrize("eigenvalues", [
+    [0.5, 1.0, 2.0],        # well conditioned
+    [2e-10, 1.0, 2.0],      # smallest just below the threshold
+    [3e-10, 1.0, 2.0],      # and just above it
+    [0.0, 0.0, 1.0],        # singular
+    [-1e-17, 1.0, 2.0],     # singular with negative rounding noise
+    [0.0, 0.0, 0.0],        # no scale
+    [-3.0, -2.0, -1.0],     # negative definite
+])
+def test_positive_definite_is_full_numerical_rank(eigenvalues):
+    # the one rank rule: gram's verdict is rank == size, the same as the
+    # largest being positive and the smallest above NULL_REL_TOL times it
+    eigenvalues = np.array(eigenvalues)
+    largest, smallest = eigenvalues[-1], eigenvalues[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        report = _spectrum_report(GRADIENT, np.diag(eigenvalues), ())
+    assert report.positive_definite == (numerical_rank(eigenvalues) == eigenvalues.size)
+    assert report.positive_definite == (largest > 0.0
+                                        and smallest > NULL_REL_TOL * largest)
+    # Lambda's singular values squared come in descending order
+    assert numerical_rank(eigenvalues[::-1]) == numerical_rank(eigenvalues)
 
 
 def test_kernel_test_counterexample_field():
