@@ -99,9 +99,9 @@ def response_matrix(alpha: float, eigenvalues: np.ndarray, times: np.ndarray) ->
     times = np.asarray(times, dtype=float)
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"fractional order must be in (0, 1], got {alpha}")
-    if np.any(eigenvalues > 0.0):
+    if not np.all(eigenvalues <= 0.0):  # NaN fails too
         raise DomainError(f"eigenvalues must be <= 0, got {eigenvalues.max()}")
-    if np.any(times <= 0.0):
+    if not np.all(times > 0.0):
         raise DomainError(
             f"times must be positive (singular prefactor), got {times.min()}"
         )

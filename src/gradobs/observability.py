@@ -122,31 +122,23 @@ def build_g_matrices(basis: Basis, suite: SensorSuite) -> GMatrixSet:
 def strategic_test_1d(gset: GMatrixSet) -> StrategicReport:
     """Necessary-and-sufficient rank test in one dimension.
 
-    Strategic at this truncation iff the channel count is at least the
-    maximal multiplicity and every group's coupling matrix has full rank
-    r_j (numerical rank at relative singular-value tolerance).
+    On (0, 1) every eigenvalue -j**2 pi**2 is simple, so each group is the
+    single mode j, its coupling matrix is the p x 1 column (f_i, xi_j')_i,
+    and p >= 1 = r_j always holds.  Strategic at this truncation iff no
+    column vanishes: mode j has rank 1 when its norm exceeds RANK_REL_TOL
+    times the largest column norm.  The scale is global, so a vanishing
+    column cannot self-normalize to rank 1, and all columns have rank 0 when
+    every coupling is zero.
     """
     if gset.basis.dimension != 1:
         raise DomainError("the rank form of the strategic test is 1-D only")
-    p = len(gset.suite)
-    mults = tuple(g.multiplicity for g in gset.basis.groups)
-    # Rank threshold scales with the largest singular value over ALL groups:
-    # a group whose couplings vanish must not self-normalize to full rank.
-    svs = [np.linalg.svd(per_axis[0], compute_uv=False)
-           for per_axis in gset.matrices]
-    scale = max((float(sv[0]) for sv in svs if sv.size), default=0.0)
-    ranks = []
-    offending = None
-    for jg, sv in enumerate(svs):
-        rank = int(np.sum(sv > RANK_REL_TOL * scale)) if scale > 0.0 else 0
-        ranks.append(rank)
-        if offending is None and rank < mults[jg]:
-            offending = jg + 1
-    verdict = p >= max(mults) and offending is None
-    if p < max(mults) and offending is None:
-        offending = int(np.argmax(mults)) + 1
+    norms = np.linalg.norm(np.hstack([g[0] for g in gset.matrices]), axis=0)
+    ranks = (norms > RANK_REL_TOL * norms.max()).astype(int)
+    missing = np.flatnonzero(ranks == 0)
+    offending = int(missing[0]) + 1 if missing.size else None
     return StrategicReport(
-        verdict, gset.basis.truncation, p, max(mults), tuple(ranks), mults, offending
+        offending is None, gset.basis.truncation, len(gset.suite), 1,
+        tuple(ranks.tolist()), (1,) * ranks.size, offending,
     )
 
 

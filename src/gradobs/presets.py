@@ -19,6 +19,17 @@ _THREE_POINTWISE = [
     {"kind": "pointwise", "location": [math.sqrt(3.0) - 1.0, 2.0 / math.pi - 0.3]},
 ]
 
+# the filament realization of delta(x1 - 1/2) sin(pi x2)
+_MIDLINE_FILAMENT = [
+    {
+        "kind": "filament",
+        "axis": 1,
+        "interval": [0.0, 1.0],
+        "fixed": 0.5,
+        "distribution": {"type": "sine", "freq": [0.0, 1.0]},
+    }
+]
+
 _PRESETS: dict[str, dict] = {
     # Unobservable filament configuration: the gradient field
     # (cos(pi x1) sin(3 pi x2), 3 sin(pi x1) cos(3 pi x2)) / pi produces zero
@@ -29,15 +40,7 @@ _PRESETS: dict[str, dict] = {
         "dimension": 2,
         "truncation": 6,
         "region": None,
-        "sensors": [
-            {
-                "kind": "filament",
-                "axis": 1,
-                "interval": [0.0, 1.0],
-                "fixed": 0.5,
-                "distribution": {"type": "sine", "freq": [0.0, 1.0]},
-            }
-        ],
+        "sensors": copy.deepcopy(_MIDLINE_FILAMENT),
         "initial": {"type": "counterexample-gradient"},
     },
     "counterexample-strip": {
@@ -46,15 +49,7 @@ _PRESETS: dict[str, dict] = {
         "dimension": 2,
         "truncation": 6,
         "region": [[[0.0, 1.0], [0.0, 1.0 / 6.0]]],
-        "sensors": [
-            {
-                "kind": "filament",
-                "axis": 1,
-                "interval": [0.0, 1.0],
-                "fixed": 0.5,
-                "distribution": {"type": "sine", "freq": [0.0, 1.0]},
-            }
-        ],
+        "sensors": copy.deepcopy(_MIDLINE_FILAMENT),
         "initial": {"type": "counterexample-gradient"},
     },
     # Single zone sensor with the incommensurate product-sine distribution.

@@ -172,12 +172,3 @@ def grad_coupling(sensor: Sensor, mode: Mode, axis: int) -> float:
 def coupling_matrix(suite: SensorSuite, basis: Basis) -> np.ndarray:
     """kappa[i, j] = (f_i, xi_j), in basis mode order."""
     return coupling_tables(suite, basis.indices)
-
-
-def counterexample_sensor() -> Sensor:
-    """Filament realization of the distribution delta(x1 - 1/2) sin(pi x2)."""
-    return Sensor(
-        FILAMENT,
-        Filament(axis=1, interval=(0.0, 1.0), fixed=0.5),
-        lambda pts: np.sin(np.pi * pts[:, 1]),
-    )

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from gradobs.cli import main as cli_main
+from gradobs.cli import Experiment, main as cli_main
 from gradobs.dynamics import TimeGrid, simulate
 from gradobs.hum import (
     HumConfig,
@@ -36,11 +36,11 @@ from gradobs.observability import (
     response_kernel_matrix,
     strategic_test_1d,
 )
+from gradobs.presets import preset
 from gradobs.sensing import (
     POINTWISE,
     Sensor,
     SensorSuite,
-    counterexample_sensor,
     coupling_matrix,
 )
 from gradobs.spectral import (
@@ -134,7 +134,7 @@ def test_a2_invisible_gradient_and_regional_response():
     started = time.time()
     checks = []
     basis = build_basis(2, 6)
-    suite = SensorSuite((counterexample_sensor(),))
+    suite = Experiment(preset("counterexample")).suite
     kappa = coupling_matrix(suite, basis)
     g = sample_vector_field(_counterexample_field, whole_domain(2), 6)
     strip = Region((((0.0, 1.0), (0.0, 1.0 / 6.0)),))

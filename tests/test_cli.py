@@ -64,6 +64,17 @@ def test_mlf_command_rejects_orders_outside_the_model(tmp_path, capsys, alpha):
     assert "0 < alpha <= 1" in err
 
 
+@pytest.mark.parametrize("beta,z", [("50", "-3.5"), ("1e308", "-50"), ("inf", "-1")])
+def test_mlf_command_rejects_beta_above_the_cap(tmp_path, capsys, beta, z):
+    # these printed a wrong value, an OverflowError traceback and 0
+    code = main(["mlf", "--alpha", "0.5", "--beta", beta, f"--z={z}",
+                 "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "0 < beta <= 20" in captured.err
+    assert captured.out == ""
+
+
 def test_mlf_command_non_numeric_argument_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["mlf", "--alpha", "0.5", "--beta", "0.5", "--z=abc",

@@ -76,6 +76,20 @@ def test_response_matrix_integer_order():
         response_matrix(1.5, lams, times)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("lams,times", [
+    ([math.nan], [0.5]),
+    ([-PI2, math.nan], [0.5]),
+    ([-PI2], [math.nan]),
+    ([-PI2], [0.5, math.nan]),
+])
+def test_response_matrix_rejects_nan_on_both_branches(alpha, lams, times):
+    # a NaN eigenvalue or time fails the sign checks: alpha = 1 used to
+    # return NaN where alpha < 1 raised
+    with pytest.raises(DomainError):
+        response_matrix(alpha, lams, times)
+
+
 @pytest.mark.parametrize("shape", [(9, 7), (1, 7), (9, 1), (1, 1)])
 def test_integer_order_responses_are_the_exact_branch_bits(shape):
     # at alpha = 1 every entry is mlf's own exact-branch scalar exp(lambda t)

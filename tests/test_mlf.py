@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import gradobs.mlf as mlf_module
 from gradobs.errors import DomainError
 from gradobs.mlf import (
+    BETA_MAX,
     THETA_MIN,
     mlf,
     moment_check,
@@ -290,6 +291,39 @@ def test_mlf_rejects_orders_outside_the_model():
                            (math.nan, 0.5, -1.0), (0.5, math.nan, -1.0)]:
         with pytest.raises(DomainError):
             mlf(alpha, beta, z)
+
+
+@pytest.mark.parametrize("alpha,beta,z", [
+    (0.5, 50.0, -3.5),  # gap branch: relative error 2.7e-2
+    (0.8, 50.0, -6.0),  # gap branch: 5.3e3
+    (0.8, 100.0, -6.0),  # gap branch: 1e48
+    (0.5, 1e308, -50.0),  # these four raised OverflowError
+    (0.5, 1e308, -3.0),
+    (0.5, 1e308, -0.5),
+    (0.5, 1e308, 4.0),
+    (0.5, math.inf, -1.0),  # returned 0
+])
+def test_mlf_rejects_beta_above_the_cap(alpha, beta, z):
+    # the gap branch lowers beta by E_{a,b} = (E_{a,b-a} - 1/Gamma(b-a)) / z,
+    # which cancels for large beta
+    assert BETA_MAX == 20.0
+    with pytest.raises(DomainError, match="0 < beta <= 20"):
+        mlf(alpha, beta, z)
+
+
+@pytest.mark.parametrize("alpha,peak_nats", [
+    (0.5, 0.5),  # series, z >= -1
+    (0.5, 5.0),  # series, peak gate
+    (0.2, 9.5), (0.5, 15.0), (0.9, 9.5), (0.9, 33.9),  # Laplace integral
+    (1.0, 15.0),  # alpha = 1 mpmath series
+    (0.5, 60.0), (1.0, 60.0),  # asymptotic expansion
+])
+def test_mlf_at_the_beta_cap_against_mp_series(alpha, peak_nats):
+    # measured worst case 3.1e-13, at (0.2, 20, peak 9.5 nats)
+    z = _at_peak_nats(alpha, peak_nats)
+    assert mlf(alpha, BETA_MAX, z) == pytest.approx(
+        _mp_series(alpha, BETA_MAX, z), rel=5e-12, abs=0.0
+    )
 
 
 def test_rgamma_poles_and_values():

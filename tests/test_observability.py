@@ -7,12 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
+from gradobs.cli import Experiment
 from gradobs.errors import DomainError
 from gradobs.dynamics import TimeGrid, grading_exponent, simulate, time_grid
 from gradobs.observability import (
     COMPONENT,
     GRADIENT,
     NULL_REL_TOL,
+    RANK_REL_TOL,
     ConditioningWarning,
     _spectrum_report,
     build_g_matrices,
@@ -24,6 +26,7 @@ from gradobs.observability import (
     response_kernel_matrix,
     strategic_test_1d,
 )
+from gradobs.presets import preset
 from gradobs.sensing import (
     FILAMENT,
     POINTWISE,
@@ -31,7 +34,6 @@ from gradobs.sensing import (
     Filament,
     Sensor,
     SensorSuite,
-    counterexample_sensor,
     coupling_matrix,
     coupling_tables,
 )
@@ -90,6 +92,43 @@ def test_rank_threshold_uses_global_scale():
     assert abs(gset.matrices[4][0][0, 0]) < 1e-12
     assert report.ranks[4] == 0
     assert not report.verdict
+
+
+def _random_location(rng):
+    kind = rng.integers(3)
+    if kind == 0:
+        return float(rng.uniform(0.01, 0.99))  # generic
+    if kind == 1:
+        b = 2 * int(rng.integers(1, 11))  # a / b with b even
+        return int(rng.integers(1, b)) / b
+    return 0.5
+
+
+def test_strategic_verdict_matches_the_closed_form_rule():
+    # every eigenvalue is simple in 1-D, so mode j has rank 1 iff the column
+    # (j cos(j pi x_i))_i exceeds RANK_REL_TOL times the largest column norm
+    rng = np.random.default_rng(27)
+    cases = [(Experiment(preset("gram-zero")).suite, t) for t in (1, 7, 200)]
+    for _ in range(200):
+        locations = [_random_location(rng) for _ in range(rng.integers(1, 4))]
+        suite = SensorSuite(tuple(Sensor(POINTWISE, (x,)) for x in locations))
+        cases.append((suite, int(rng.integers(1, 201))))
+    for suite, t in cases:
+        report = strategic_test_1d(build_g_matrices(build_basis(1, t), suite))
+        if suite.sensors[0].kind == POINTWISE:
+            j = np.arange(1, t + 1)[:, None]
+            x = np.array([s.geometry[0] for s in suite.sensors])[None, :]
+            norms = np.sqrt(np.sum((j * np.cos(j * np.pi * x)) ** 2, axis=1))
+            ranks = tuple(int(n > RANK_REL_TOL * norms.max()) for n in norms)
+        else:  # the zero distribution couples to nothing
+            ranks = (0,) * t
+        offending = ranks.index(0) + 1 if 0 in ranks else None
+        assert report.ranks == ranks, (suite, t)
+        assert report.offending_group == offending
+        assert report.verdict == (offending is None)
+        assert report.multiplicities == (1,) * t
+        assert report.max_multiplicity == 1
+        assert report.channel_count == len(suite)
 
 
 def test_strategic_rank_form_is_one_dimensional_only():
@@ -181,7 +220,7 @@ def test_gradient_gram_annihilates_invisible_direction():
     # midline filament sensor (its transverse coupling vanishes), so the
     # quadratic form must vanish on the matching unit vector
     basis = build_basis(2, 4)
-    suite = SensorSuite((counterexample_sensor(),))
+    suite = Experiment(preset("counterexample")).suite
     with pytest.warns(ConditioningWarning):  # the Gramian is singular
         report = gram_regional(
             basis, suite, 0.5, 1.0, whole_domain(2),
@@ -351,7 +390,7 @@ def test_positive_definite_is_full_numerical_rank(eigenvalues):
 
 def test_kernel_test_counterexample_field():
     basis = build_basis(2, 6)
-    suite = SensorSuite((counterexample_sensor(),))
+    suite = Experiment(preset("counterexample")).suite
     g = sample_vector_field(_vortex_free_field, whole_domain(2), 6)
     grid = time_grid(0.5, 1.0)
     strip = Region((((0.0, 1.0), (0.0, 1.0 / 6.0)),))
@@ -372,7 +411,7 @@ def test_kernel_test_counterexample_field():
 def test_kernel_test_channels_match_simulate():
     # simulate is the independent path to the strip state's output
     basis = build_basis(2, 6)
-    suite = SensorSuite((counterexample_sensor(),))
+    suite = Experiment(preset("counterexample")).suite
     g = sample_vector_field(_vortex_free_field, whole_domain(2), 6)
     edges = np.linspace(0.0, 1.0, 5) ** grading_exponent(0.5)  # 4 panels
     grid = TimeGrid(1.0, *gauss_panels(edges))

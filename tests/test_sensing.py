@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from gradobs.cli import Experiment
 from gradobs.errors import DomainError
+from gradobs.presets import preset
 from gradobs.sensing import (
     BilinearTable,
     FILAMENT,
@@ -14,7 +16,6 @@ from gradobs.sensing import (
     Sensor,
     SensorSuite,
     ZONE,
-    counterexample_sensor,
     coupling_matrix,
     coupling_tables,
     grad_coupling,
@@ -66,7 +67,7 @@ def test_zone_coupling_closed_form():
 
 def test_filament_coupling_selects_first_transverse_mode():
     # sin(pi x2) on {x1 = 1/2}: coupling is sin(j pi / 2) * delta_{k,1}
-    sensor = counterexample_sensor()
+    sensor = Experiment(preset("counterexample")).suite.sensors[0]
     basis = build_basis(2, 4)
     for mode, got in zip(basis.modes, _couplings(sensor, basis)):
         j, k = mode.indices
@@ -195,7 +196,7 @@ def test_coupling_rejects_dimension_mismatch():
         (Sensor(POINTWISE, (0.3, 0.4)), one),
         (Sensor(POINTWISE, (0.3,)), two),
         (Sensor(ZONE, strip, lambda pts: np.ones(len(pts))), two),
-        (counterexample_sensor(), one),  # filaments are 2-D
+        (Experiment(preset("counterexample")).suite.sensors[0], one),  # filaments are 2-D
     ]:
         with pytest.raises(DomainError):
             coupling_matrix(SensorSuite((sensor,)), basis)
