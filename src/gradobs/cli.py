@@ -139,10 +139,11 @@ def _read(spec, schema: dict, where: str, top: dict | None = None) -> dict:
 
 
 def _build(where: str, build, *args, **kwargs):
-    """build(*args, **kwargs), a model DomainError becoming a ConfigError."""
+    """build(*args, **kwargs), a model DomainError or SizeError becoming a
+    ConfigError."""
     try:
         return build(*args, **kwargs)
-    except DomainError as exc:
+    except (DomainError, SizeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -308,10 +309,8 @@ class Experiment:
     def __init__(self, config: dict) -> None:
         self.config = config
         vars(self).update(_read(config, CONFIG, "config"))
-        try:
-            self.basis = build_basis(self.dimension, self.truncation)
-        except (DomainError, SizeError) as exc:
-            raise ConfigError(f"config.truncation: {exc}") from exc
+        self.basis = _build("config.truncation", build_basis, self.dimension,
+                            self.truncation)
         self.suite = SensorSuite(self.sensors)
         self.noise_sigma, self.noise_seed = self.noise
         if self.noise_sigma > 0.0 and self.noise_seed is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 from .mlf import mlf
 from .sensing import SensorSuite, coupling_matrix
 from .spectral import SpectralField, gauss_panels
@@ -31,12 +31,6 @@ WEIGHTING_COMPENSATED = "compensated"
 
 def grading_exponent(alpha: float) -> float:
     return max(2.0, 2.0 / alpha)
-
-
-def _graded_edges(lo: float, hi: float, panels: int, q: float) -> np.ndarray:
-    """Panel edges accumulating toward `lo` with grading exponent q."""
-    u = np.linspace(0.0, 1.0, panels + 1)
-    return lo + (hi - lo) * u**q
 
 
 @dataclass(frozen=True)
@@ -70,7 +64,8 @@ def time_grid(alpha: float, horizon: float) -> TimeGrid:
         raise DomainError(f"fractional order must be in (0, 1], got {alpha}")
     if not 0.0 < horizon < math.inf:  # before numpy meets it in the edges
         raise DomainError(f"horizon must be positive and finite, got {horizon}")
-    left = _graded_edges(0.0, 0.5 * horizon, TIME_PANELS // 2, grading_exponent(alpha))
+    u = np.linspace(0.0, 1.0, TIME_PANELS // 2 + 1)
+    left = 0.5 * horizon * u ** grading_exponent(alpha)
     return TimeGrid(horizon, *gauss_panels(np.concatenate([left, horizon - left[-2::-1]])))
 
 
@@ -147,6 +142,7 @@ def simulate(
         channels = channels + _noise_samples(
             noise_sigma, noise_seed, channels.shape[0], channels.shape[1]
         )
+    check_finite(channels, "simulated channels")
     return ObservationRecord(grid, channels, noise_sigma, noise_seed)
 
 

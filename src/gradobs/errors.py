@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all gradobs modules."""
 
+import numpy as np
+
 
 class GradobsError(Exception):
     """Base class for all library errors."""
@@ -23,3 +25,10 @@ class ConvergenceError(GradobsError, RuntimeError):
 
 class ConfigError(GradobsError, ValueError):
     """An experiment configuration failed validation."""
+
+
+def check_finite(values, what: str):
+    """`values`, or a DomainError naming `what` if an entry is inf or NaN."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} overflowed double precision (inf or NaN)")
+    return values

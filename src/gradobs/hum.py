@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_finite
 from .dynamics import (
     ObservationRecord,
     TimeGrid,
@@ -38,8 +38,8 @@ from .spectral import (
     Region,
     SpectralField,
     VectorFieldSamples,
-    build_basis,
     restrict_gradient,
+    sub_basis,
 )
 from .observability import grad_overlap_matrix
 
@@ -100,18 +100,13 @@ class HumContext:
         truncation: int = 6,
         weighting: str = WEIGHTING_NONE,
     ) -> None:
-        if truncation > basis.truncation:
-            raise DomainError(
-                f"potential truncation {truncation} exceeds basis truncation "
-                f"{basis.truncation}"
-            )
         self.basis = basis
         self.suite = suite
         self.alpha = float(alpha)
         self.horizon = float(horizon)
         self.region = region
         self.weighting = weighting
-        self.potential_basis = build_basis(basis.dimension, truncation)
+        self.potential_basis = sub_basis(basis, truncation)
         self.d_matrix = grad_overlap_matrix(self.potential_basis, basis, region)
         self.kappa = coupling_matrix(suite, basis)
         self.grid = time_grid(self.alpha, self.horizon)
@@ -121,9 +116,11 @@ class HumContext:
         self.root_weights = np.sqrt(self.quad_weights * self.weight_values)
         forward = np.stack([(self.forward_channels(e) * self.root_weights).ravel()
                             for e in np.eye(self.size)], axis=1)
+        check_finite(forward, "the whitened forward matrix")
         u, s, vt = np.linalg.svd(forward, full_matrices=False)
         self.singular_vectors, self.singular_values, self.right_vectors = u, s, vt
-        self.lambda_eigenvalues = s**2  # on the rows of V^T, descending
+        # on the rows of V^T, descending
+        self.lambda_eigenvalues = check_finite(s**2, "Lambda's eigenvalues")
         # Lambda's smallest eigenvalue; Lambda is singular when Q > p*K
         self.smallest_eigenvalue = float(s[-1] ** 2) if s.size == self.size else 0.0
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 from .dynamics import (
     TimeGrid,
     response_matrix,
@@ -38,10 +38,10 @@ from .spectral import (
     Region,
     VectorFieldSamples,
     axis_tables,
-    build_basis,
     grad_adjoint,
     interval_rule,
     restrict,
+    sub_basis,
 )
 
 RANK_REL_TOL = 1e-10
@@ -132,7 +132,8 @@ def strategic_test_1d(gset: GMatrixSet) -> StrategicReport:
     """
     if gset.basis.dimension != 1:
         raise DomainError("the rank form of the strategic test is 1-D only")
-    norms = np.linalg.norm(np.hstack([g[0] for g in gset.matrices]), axis=0)
+    norms = check_finite(np.linalg.norm(np.hstack([g[0] for g in gset.matrices]), axis=0),
+                         "the derivative-coupling column norms")
     ranks = (norms > RANK_REL_TOL * norms.max()).astype(int)
     missing = np.flatnonzero(ranks == 0)
     offending = int(missing[0]) + 1 if missing.size else None
@@ -218,7 +219,7 @@ def numerical_rank(eigenvalues: np.ndarray) -> int:
 
 
 def _spectrum_report(kind: str, gram: np.ndarray, test_modes) -> GramReport:
-    gram = 0.5 * (gram + gram.T)
+    gram = check_finite(0.5 * (gram + gram.T), "the Gramian")
     eigenvalues = np.linalg.eigvalsh(gram)
     largest = float(eigenvalues[-1])
     smallest = float(eigenvalues[0])
@@ -251,12 +252,9 @@ def gram_regional(
     order: axis-major) and the gradient couplings; kind=GRADIENT uses
     p_omega grad(xi_q) (size Q) and the forward output map.
     """
-    if truncation > basis.truncation:
-        raise DomainError(
-            f"test truncation {truncation} exceeds basis truncation "
-            f"{basis.truncation}"
-        )
-    test_basis = build_basis(basis.dimension, truncation)
+    if kind not in (COMPONENT, GRADIENT):
+        raise DomainError(f"unknown Gramian kind {kind!r}")
+    test_basis = sub_basis(basis, truncation)
     v = response_kernel_matrix(alpha, basis.eigenvalues, b, weighting)
     test_modes = [m.indices for m in test_basis.modes]
     if kind == GRADIENT:
@@ -264,8 +262,6 @@ def gram_regional(
         kappa = coupling_matrix(suite, basis)
         mmat = v * (kappa.T @ kappa)
         return _spectrum_report(kind, d @ mmat @ d.T, test_modes)
-    if kind != COMPONENT:
-        raise DomainError(f"unknown Gramian kind {kind!r}")
     r = overlap_matrix(test_basis, basis, region)
     n = basis.dimension
     q = len(test_basis)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 from .spectral import (
     Basis,
     Mode,
@@ -152,6 +152,7 @@ def coupling_tables(suite: SensorSuite, indices: np.ndarray,
             for k, s in enumerate(range(dim) if gradients else [None]):
                 out[k, i] += contract(w, tables, s)[pick]
     out *= np.sqrt(2.0) ** dim
+    check_finite(out, "sensor couplings")
     return out if gradients else out[0]
 
 

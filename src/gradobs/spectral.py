@@ -1,10 +1,11 @@
 """Dirichlet-Laplacian sine eigenbasis on [0,1] and [0,1]^2.
 
-Modes are grouped by eigenvalue (2-D eigenvalues -(m^2+n^2)pi^2 repeat, e.g.
-(1,2)/(2,1)), fields are stored as coefficient vectors on the basis, and the
-gradient / adjoint-gradient pair is realized spectrally: the coefficient of
-grad_adjoint(g) on a mode equals sum_s int g_s * d(xi)/dx_s, which is the weak
-form of -div(g) with the zero Dirichlet boundary.
+Modes are ordered and grouped by their exact integer level n = j_1^2 + ... +
+j_d^2, eigenvalue -n pi^2 (2-D levels repeat, e.g. (1,2)/(2,1)); `sub_basis`
+builds the test span of the Gramians and HUM.  Fields are coefficient vectors
+on the basis; the gradient / adjoint-gradient pair is spectral: grad_adjoint(g)
+has coefficient sum_s int g_s * d(xi)/dx_s on a mode, the weak form of -div(g)
+with the zero Dirichlet boundary.
 
 Every quadrature in gradobs is the composite Gauss-Legendre rule
 `gauss_panels`; callers only choose its panel edges.  In space it has 8 nodes
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +33,6 @@ NODES_PER_PANEL = 8
 PANEL_NODES, PANEL_WEIGHTS = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
 MIN_PANELS = 4
 MODE_CAP = 10_000
-GROUP_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,8 @@ class Basis:
 
 
 def build_basis(dimension: int, truncation: int) -> Basis:
-    """Enumerate modes with indices <= truncation and group by eigenvalue."""
+    """Every mode with indices <= truncation, one group per integer level
+    n = j_1**2 + ... + j_dim**2 in increasing order, eigenvalue -n pi**2."""
     if dimension not in (1, 2):
         raise DomainError(f"dimension must be 1 or 2, got {dimension}")
     if truncation < 1:
@@ -120,22 +122,21 @@ def build_basis(dimension: int, truncation: int) -> Basis:
             f"truncation {truncation} yields {truncation**dimension} modes, "
             f"cap is {MODE_CAP}"
         )
-    modes = [Mode(idx, -sum(j**2 for j in idx) * math.pi**2)
-             for idx in itertools.product(range(1, truncation + 1), repeat=dimension)]
-    # group by eigenvalue, sorted strictly decreasing (0 > lam1 > lam2 > ...)
-    modes.sort(key=lambda md: (-md.eigenvalue, md.indices))
-    groups: list[list[Mode]] = []
-    for md in modes:
-        if groups and abs(md.eigenvalue - groups[-1][0].eigenvalue) <= \
-                GROUP_REL_TOL * abs(md.eigenvalue):
-            groups[-1].append(md)
-        else:
-            groups.append([md])
-    return Basis(
-        dimension,
-        truncation,
-        tuple(EigenGroup(g[0].eigenvalue, tuple(g)) for g in groups),
-    )
+    indices = itertools.product(range(1, truncation + 1), repeat=dimension)
+    levels = sorted((sum(j * j for j in idx), idx) for idx in indices)
+    groups = []
+    for n, run in itertools.groupby(levels, key=operator.itemgetter(0)):
+        lam = -n * math.pi**2
+        groups.append(EigenGroup(lam, tuple(Mode(idx, lam) for _, idx in run)))
+    return Basis(dimension, truncation, tuple(groups))
+
+
+def sub_basis(basis: Basis, truncation: int) -> Basis:
+    """The test span of the Gramians and HUM: `basis` cut to `truncation`."""
+    if truncation > basis.truncation:
+        raise DomainError(f"test truncation {truncation} exceeds basis "
+                          f"truncation {basis.truncation}")
+    return build_basis(basis.dimension, truncation)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradobs.cli import main, read_observations
+from gradobs.cli import Experiment, main, read_observations
 from gradobs.errors import ConfigError
 from gradobs.observability import ConditioningWarning
 from gradobs.presets import preset, preset_names
+from gradobs.sensing import (BilinearTable, Sensor, SensorSuite, ZONE,
+                             coupling_matrix)
+from gradobs.spectral import Region
 
 
 def _read(path):
@@ -99,6 +102,15 @@ def test_missing_config_is_a_config_error(tmp_path, capsys):
         ["simulate", "--config", str(tmp_path / "absent.json"),
          "--out", str(tmp_path)]
     ) == 2
+    # a config that is not JSON, or JSON but not an object
+    for text, message in [('{"alpha": 0.5,', "invalid JSON at line 1"),
+                          ("[1, 2]", "top level must be a JSON object")]:
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err and "Traceback" not in err
 
 
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
@@ -234,6 +246,8 @@ _FILAMENT = {"kind": "filament", "axis": 0, "interval": [0.1, 0.5, 0.9],
         ("gram", ("potential_truncation",), "3", "potential_truncation"),
         ("gram", ("potential_truncation",), 0, "potential_truncation"),
         ("strategic", ("gram_truncation",), 2, "unknown field(s) 'gram_truncation'"),
+        # 101**2 modes pass the basis cap
+        ("simulate", ("truncation",), 101, "config.truncation: truncation 101"),
     ],
 )
 def test_config_mistakes_exit_2(tmp_path, capsys, command, path, value, field):
@@ -246,6 +260,67 @@ def test_config_mistakes_exit_2(tmp_path, capsys, command, path, value, field):
     assert code == 2
     assert "Traceback" not in err
     assert field in err
+
+
+def _zone_config(dimension, distribution):
+    """case1-zone in 2-D, strategic-1d-pass in 1-D, with one zone sensor
+    (on [0.2, 0.7] per axis) of the given distribution spec."""
+    config = preset("case1-zone" if dimension == 2 else "strategic-1d-pass")
+    config["sensors"] = [{"kind": "zone", "rect": [[0.2, 0.7]] * dimension,
+                          "distribution": distribution}]
+    return config
+
+
+@pytest.mark.parametrize("distribution,direct", [
+    ({"type": "cosine", "coefficients": [0.5, -0.25]},
+     lambda pts: 0.5 * np.cos(np.pi * pts[:, 0]) - 0.25 * np.cos(2 * np.pi * pts[:, 0])),
+    ({"type": "table", "x1": [0.0, 0.5, 1.0], "x2": [0.0, 1.0],
+      "values": [[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]]},
+     BilinearTable(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0]),
+                   np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]]))),
+], ids=["cosine", "table"])
+def test_config_distributions_build_their_sensors(distribution, direct):
+    # the zone a config builds couples like the same Sensor built directly
+    experiment = Experiment(_zone_config(2, distribution))
+    sensor = Sensor(ZONE, Region((((0.2, 0.7), (0.2, 0.7)),)), direct)
+    assert np.array_equal(coupling_matrix(experiment.suite, experiment.basis),
+                          coupling_matrix(SensorSuite((sensor,)), experiment.basis))
+
+
+_OVERFLOWS = {
+    "constant-1e308": {"type": "constant", "value": 1e308},
+    "sine-1e308": {"type": "sine", "freq": [1e308, 1.0]},
+    "cosine-1e308": {"type": "cosine", "coefficients": [1e308, 1e308]},
+    # finite couplings whose squares overflow
+    "constant-1e200": {"type": "constant", "value": 1e200},
+    "constant-1e155": {"type": "constant", "value": 1e155},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "strategic", "gram", "reconstruct"])
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("name", list(_OVERFLOWS))
+def test_overflowing_sensor_distribution_exits_3(tmp_path, capsys, name, dimension,
+                                                 command):
+    # a value that overflows is refused where it is made, so no command
+    # reaches LAPACK with it or writes it; simulate alone has a finite answer
+    # when only the squares of the couplings overflow
+    distribution = copy.deepcopy(_OVERFLOWS[name])
+    if dimension == 1 and distribution["type"] == "sine":
+        distribution["freq"] = distribution["freq"][:1]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_zone_config(dimension, distribution)))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([command, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    finite = command == "simulate" and "1e308" not in name
+    assert code == (0 if finite else 3)
+    assert finite or "overflowed double precision" in err
+    assert "Traceback" not in err
+    for csv in out.glob("*.csv"):
+        assert "inf" not in csv.read_text() and "nan" not in csv.read_text(), csv
 
 
 def test_seed_flag_supplies_a_missing_noise_seed(tmp_path, capsys):
@@ -356,9 +431,10 @@ def _malformed(lines):
         _malformed(["t,z_1,z_2,z_3", "0.0,1.0,2.0,3.0", "0.1,1.0,2.0,3.0"]),
         _malformed(["t,z_1,z_2,z_3", "0.5,1.0,2.0,3.0", "1.5,1.0,2.0,3.0"]),
         _malformed(["t,z_1,z_2", "0.1,1.0,2.0", "0.2,1.0,2.0"]),
+        _malformed(["t,z_1,z_2,z_3"]),
     ],
     ids=["missing", "non-numeric", "field-count", "not-increasing",
-         "nonpositive-time", "beyond-horizon", "channel-count"],
+         "nonpositive-time", "beyond-horizon", "channel-count", "no-rows"],
 )
 def test_malformed_observations_exit_2(tmp_path, capsys, write):
     # hum-synthetic has three sensors and horizon 1
@@ -588,7 +664,7 @@ def _mutation_pool(parent, key):
     value = parent[key]
     pool = [None, _DELETE] if isinstance(parent, dict) else [None]
     pool += [v for v in (1.5, "x", [1.0], {"x": 1.0}) if type(v) is not type(value)]
-    for number in (-1, 0, -0.5, 2.5, 1e9):
+    for number in (-1, 0, -0.5, 2.5, 1e9, 1e308):
         if key not in _SIZE_KEYS or (
             isinstance(value, (int, float)) and number <= value
         ):

@@ -373,6 +373,49 @@ def test_discrepancy_rule_matches_cg_scan(monkeypatch):
             assert eps == _cg_discrepancy_scan(record, cfg, ctx, sigma), (sigma, seed)
 
 
+@pytest.mark.parametrize("op", [97, 297])
+def test_discrepancy_rule_steps_to_the_cg_misfit_crossing(monkeypatch, op):
+    # ops 97 and 297 of the `regularize` benchmark workload at seed 101,
+    # rebuilt from its recipe: truth t is mode (1,1) plus two modes of index
+    # <= 3, drawn by default_rng([t + 1, 2]); each block of nine ops permutes
+    # the (truth, sigma) pairs; the noise is seeded per op.  On these the
+    # closed-form crossing is one grid step off the CG one, so the
+    # confirmation steps; the returned eps must hold for what `solve` returns
+    ctx = _context(5)
+    low = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3) if (m, n) != (1, 1)]
+    pair = np.random.default_rng([102, op // 9 + 1, 3]).permutation(9)[op % 9]
+    sigma, truth = (1e-4, 1e-3, 1e-2)[pair % 3], pair // 3
+    rng = np.random.default_rng([truth + 1, 2])
+    c0 = np.zeros(len(ctx.basis))
+    c0[ctx.basis.index_of((1, 1))] = rng.uniform(0.5, 1.5)
+    for p in rng.choice(len(low), size=2, replace=False):
+        c0[ctx.basis.index_of(low[p])] = rng.normal(0.0, 0.5)
+    clean = ctx.forward_channels(np.linalg.solve(ctx.d_matrix.T, c0))
+    noise = np.random.default_rng([102, op + 1, 4]).normal(0.0, sigma, clean.shape)
+    record = ObservationRecord(ctx.time_grid(), clean + noise)
+    cfg = HumConfig(cg_tolerance=1e-12, max_iterations=2000)
+    cg, calls = hum_module._conjugate_gradients, []
+    monkeypatch.setattr(hum_module, "_conjugate_gradients",
+                        lambda *args: calls.append(args[1]) or cg(*args))
+    eps = discrepancy_regularization(record, cfg, ctx, sigma)
+    monkeypatch.undo()
+    assert sigma == 1e-4 and len(calls) == 3  # the two confirmations and a step
+    wq = ctx.quad_weights * ctx.weight_values
+    level = DISCREPANCY_FACTOR**2 * sigma**2 * len(ctx.suite) * float(np.sum(wq))
+    scale = float(np.max(np.abs(apply_lambda(np.ones(ctx.size), ctx))))
+    grid = scale * 10.0 ** (-EPS_GRID_DECADES + np.arange(
+        EPS_GRID_DECADES * EPS_GRID_PER_DECADE + 1) / EPS_GRID_PER_DECADE)
+    pos = int(np.argmin(np.abs(grid - eps)))
+    assert eps > 0.0 and eps == pytest.approx(grid[pos], rel=1e-12)
+
+    def misfit(e):
+        result = solve(record, HumConfig(1e-12, 2000, float(e)), ctx)
+        model = ctx.forward_channels(result.potential.coefficients)
+        return float(np.sum(wq * (model - record.channels) ** 2))
+
+    assert misfit(eps) <= level < misfit(grid[pos + 1])
+
+
 @pytest.mark.parametrize("truncation", [2, 3])
 def test_smallest_eigenvalue_is_that_of_lambda_plus_eps(truncation):
     # the reported figure is the smallest eigenvalue of Lambda + eps I, here

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gradobs.observability as observability_module
 from gradobs.cli import Experiment
 from gradobs.errors import DomainError
 from gradobs.dynamics import TimeGrid, grading_exponent, simulate, time_grid
@@ -425,12 +426,14 @@ def test_kernel_test_channels_match_simulate():
     )
 
 
-def test_gram_validation():
+def test_gram_validation(monkeypatch):
     basis = build_basis(1, 3)
     suite = _pointwise_suite((0.3,))
     with pytest.raises(DomainError):
         gram_regional(basis, suite, 0.7, 1.0, whole_domain(1), truncation=4)
-    with pytest.raises(DomainError):
+    # an unknown kind is refused before the time kernel is evaluated
+    monkeypatch.setattr(observability_module, "response_kernel_matrix", None)
+    with pytest.raises(DomainError, match="unknown Gramian kind 'mixed'"):
         gram_regional(
             basis, suite, 0.7, 1.0, whole_domain(1), truncation=2, kind="mixed"
         )

@@ -20,6 +20,7 @@ from gradobs.spectral import (
     restrict,
     restrict_gradient,
     sample_vector_field,
+    sub_basis,
     whole_domain,
 )
 
@@ -54,6 +55,43 @@ def test_eigenvalue_grouping_multiplicities():
     g50 = by_eig[min(by_eig, key=lambda e: abs(e - lam50))]
     assert g50.multiplicity == 3
     assert {m.indices for m in g50.members} == {(1, 7), (5, 5), (7, 1)}
+
+
+@pytest.mark.parametrize("dimension,truncation", [(1, 10_000), (2, 100)])
+def test_groups_are_the_maximal_runs_of_one_integer_level(dimension, truncation):
+    # modes run in increasing level n = sum of squared indices, each group is
+    # every mode of one n with eigenvalue exactly -n pi^2, and a 2-D group
+    # holds every ordered pair (a, b) in [1, T]^2 with a^2 + b^2 = n
+    basis = build_basis(dimension, truncation)
+    levels = [sum(j * j for j in idx) for idx in basis.indices.tolist()]
+    assert levels == sorted(levels)
+    start = 0
+    for group in basis.groups:
+        n = levels[start]
+        run = levels[start:start + group.multiplicity]
+        assert run == [n] * group.multiplicity
+        assert start == 0 or levels[start - 1] < n
+        assert group.eigenvalue == -n * math.pi**2
+        assert all(m.eigenvalue == group.eigenvalue for m in group.members)
+        if dimension == 2:
+            pairs = sum(1 for a in range(1, truncation + 1)
+                        if 0 < n - a * a == math.isqrt(n - a * a) ** 2
+                        and math.isqrt(n - a * a) <= truncation)
+            assert group.multiplicity == pairs, n
+        else:
+            assert group.multiplicity == 1
+        start += group.multiplicity
+    assert start == len(basis) == truncation**dimension
+
+
+def test_sub_basis_is_the_basis_at_the_test_truncation():
+    basis = build_basis(2, 5)
+    for truncation in (1, 3, 5):
+        assert sub_basis(basis, truncation) == build_basis(2, truncation)
+    with pytest.raises(DomainError, match="test truncation 6 exceeds"):
+        sub_basis(basis, 6)
+    with pytest.raises(DomainError):
+        sub_basis(basis, 0)
 
 
 @pytest.mark.parametrize("dimension,truncation", [(1, 6), (2, 3)])
