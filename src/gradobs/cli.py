@@ -45,6 +45,7 @@ from .sensing import (
     Sensor,
     SensorSuite,
     ZONE,
+    coupling_matrix,
 )
 from .spectral import (
     Basis,
@@ -55,6 +56,7 @@ from .spectral import (
     restrict,
     restrict_gradient,
     sample_vector_field,
+    sub_basis,
     whole_domain,
 )
 from .dynamics import (
@@ -68,14 +70,12 @@ from .dynamics import (
     time_grid,
 )
 from .observability import (
-    COMPONENT,
     GRADIENT,
     GramReport,
-    build_g_matrices,
     gram_regional,
     kernel_test,
+    level_ranks,
     numerical_rank,
-    strategic_test_1d,
 )
 from .hum import HumConfig, HumContext, reconstruction_error, solve
 
@@ -285,7 +285,6 @@ CONFIG = {
     # the test truncation Q of the Gramians and of HUM's potential span
     "potential_truncation": (int, lambda top: min(top["truncation"], 6), (
         lambda v, top: 1 <= v <= top["truncation"], "in [1, truncation={truncation}]")),
-    "gram_kind": (str, GRADIENT, _one_of(COMPONENT, GRADIENT)),
     "weighting": (str, WEIGHTING_NONE, _one_of(WEIGHTING_NONE, WEIGHTING_COMPENSATED)),
     "region": (_list(_list(_PAIR, "dimension"), least=1, build=Region),
                lambda top: whole_domain(top["dimension"]), None),
@@ -328,11 +327,17 @@ class Experiment:
         _build("config.weighting", check_weighting, self.alpha, self.weighting)
         return self.weighting
 
-    def gram(self, kind: str = COMPONENT) -> GramReport:
-        """The `kind` Gramian on the region at test truncation Q."""
+    def gram(self) -> GramReport:
+        """Lambda, the gradient Gramian on the region at test truncation Q."""
         return gram_regional(self.basis, self.suite, self.alpha, self.horizon,
                              self.region, truncation=self.potential_truncation,
-                             weighting=self.time_weighting(), kind=kind)
+                             weighting=self.time_weighting(), kind=GRADIENT)
+
+    def hum_context(self) -> HumContext:
+        """HUM on the region at test truncation Q; its Lambda is `gram`'s."""
+        return HumContext(self.basis, self.suite, self.alpha, self.horizon,
+                          self.region, truncation=self.potential_truncation,
+                          weighting=self.time_weighting())
 
 
 # ---------------------------------------------------------------- output ---
@@ -482,33 +487,28 @@ def cmd_simulate(experiment: Experiment, out_dir: str) -> int:
 
 
 def cmd_strategic(experiment: Experiment, out_dir: str) -> int:
-    gset = build_g_matrices(experiment.basis, experiment.suite)
-    payload = {
-        "g_matrices": [
-            {
-                "eigenvalue": group.eigenvalue,
-                "modes": [list(m.indices) for m in group.members],
-                "per_axis": per_axis,
-            }
-            for group, per_axis in zip(experiment.basis.groups, gset.matrices)
-        ]
-    }
-    if experiment.dimension == 1:
-        payload.update(asdict(strategic_test_1d(gset)))
-    else:
-        gram = experiment.gram()
-        payload.update(
-            verdict=gram.positive_definite,
-            truncation=experiment.potential_truncation,
-            smallest_eigenvalue=gram.smallest_eigenvalue,
-            largest_eigenvalue=gram.largest_eigenvalue,
-        )
+    """Verdict: Lambda's rank; diagnostics: the test span's level ranks."""
+    gram = experiment.gram()
+    test_basis = sub_basis(experiment.basis, experiment.potential_truncation)
+    kappa = coupling_matrix(experiment.suite, test_basis)
+    bounds = np.cumsum([group.multiplicity for group in test_basis.groups])[:-1]
+    payload = asdict(level_ranks(test_basis, kappa))
+    payload.update(
+        levels=[{"eigenvalue": group.eigenvalue,
+                 "modes": [list(m.indices) for m in group.members],
+                 "couplings": block}
+                for group, block in zip(test_basis.groups,
+                                        np.split(kappa, bounds, axis=1))],
+        verdict=gram.positive_definite,
+        smallest_eigenvalue=gram.smallest_eigenvalue,
+        largest_eigenvalue=gram.largest_eigenvalue,
+    )
     _write_report(out_dir, "strategic", experiment.config, payload)
     return 0
 
 
 def cmd_gram(experiment: Experiment, out_dir: str) -> int:
-    gram = experiment.gram(experiment.gram_kind)
+    gram = experiment.gram()
     payload = asdict(gram)
     payload.update(smallest_eigenvalue=gram.smallest_eigenvalue,
                    largest_eigenvalue=gram.largest_eigenvalue)
@@ -518,15 +518,7 @@ def cmd_gram(experiment: Experiment, out_dir: str) -> int:
 
 def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | None
                     ) -> int:
-    context = HumContext(
-        experiment.basis,
-        experiment.suite,
-        experiment.alpha,
-        experiment.horizon,
-        experiment.region,
-        truncation=experiment.potential_truncation,
-        weighting=experiment.time_weighting(),
-    )
+    context = experiment.hum_context()
     truth = None
     if observations is not None:
         record = read_observations(observations, experiment.horizon)

@@ -30,7 +30,8 @@ WEIGHTING_COMPENSATED = "compensated"
 
 
 def grading_exponent(alpha: float) -> float:
-    return max(2.0, 2.0 / alpha)
+    """2/alpha in [2, 12]: above 12 (alpha < 1/6) the mirrored mesh collapses."""
+    return min(max(2.0, 2.0 / alpha), 12.0)
 
 
 @dataclass(frozen=True)

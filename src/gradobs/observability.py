@@ -1,20 +1,17 @@
-"""Strategic-sensor tests and the regional gradient observability Gramian.
+"""Strategic-sensor level ranks and the regional gradient observability Gramian.
 
-Two quadratic forms certify observability at a finite truncation:
-
-* the *component-basis* Gramian pairs the gradient couplings
-  (d(xi_jk)/dx_s, f_i) with plain overlaps int_omega xi_q xi_jk.  Its nullity
-  reproduces the per-eigenvalue rank conditions of the strategic test exactly
-  (on the whole domain the overlap matrix is the identity, so a null
-  direction appears iff some group's coupling matrix is rank deficient).
-* the *gradient-basis* Gramian is the forward composition: a gradient field
-  supported on omega is pulled back through the adjoint gradient, propagated,
-  and observed; its kernel contains the classical unobservable directions
-  (the filament counterexample) and it is the matrix HUM inverts.
-
-Both are assembled from one response kernel V[j,j'] =
-int_0^b w(s) resp_j(s) resp_k(s) ds with resp_j(s) = s**(alpha-1)
-E_{alpha,alpha}(lambda_j s**alpha).
+`level_ranks` is the one rank count of coupling blocks: a level (one exact
+eigenvalue, multiplicity r_j) is full when its p x r_j block has rank r_j.
+The *gradient-basis* Gramian pulls a gradient field supported on omega back
+through the adjoint gradient, propagates and observes it: its kernel holds
+the unobservable directions (the filament counterexample), HUM inverts it,
+and its `numerical_rank` is the verdict of `gram`, `strategic` and
+`reconstruct`.  On the whole domain it is D (V o kappa^T kappa) D^T with D
+diagonal, so a deficient level of value couplings kappa makes it singular.
+The *component-basis* Gramian (test family p_omega(xi_q e_s)) asks that
+every vector field be seen; no command reaches it.  Both read one response
+kernel V[j,k] = int_0^b w(s) resp_j(s) resp_k(s) ds with resp_j(s) =
+s**(alpha-1) E_{alpha,alpha}(lambda_j s**alpha).
 """
 
 from __future__ import annotations
@@ -61,13 +58,12 @@ class GMatrixSet:
     """Per eigenvalue group and axis: the p x r_j gradient-coupling matrix."""
 
     basis: Basis
-    suite: SensorSuite
     matrices: tuple[tuple[np.ndarray, ...], ...]  # [group][axis] -> (p, r_j)
 
 
 @dataclass(frozen=True)
 class StrategicReport:
-    """Rank verdict per eigenvalue group, up to the basis truncation."""
+    """Rank per level (eigenvalue group), up to the basis truncation."""
 
     verdict: bool
     truncation: int
@@ -75,7 +71,7 @@ class StrategicReport:
     max_multiplicity: int
     ranks: tuple[int, ...]
     multiplicities: tuple[int, ...]
-    offending_group: int | None  # 1-based group index, None if strategic
+    offending_group: int | None  # first deficient level, 1-based; None if none
 
 
 @dataclass(frozen=True)
@@ -116,31 +112,40 @@ def build_g_matrices(basis: Basis, suite: SensorSuite) -> GMatrixSet:
     bounds = np.cumsum([group.multiplicity for group in basis.groups])[:-1]
     grads = coupling_tables(suite, basis.indices, gradients=True)
     per_axis = [np.split(g, bounds, axis=1) for g in grads]
-    return GMatrixSet(basis, suite, tuple(zip(*per_axis)))
+    return GMatrixSet(basis, tuple(zip(*per_axis)))
+
+
+def level_ranks(basis: Basis, couplings: np.ndarray) -> StrategicReport:
+    """Rank of each level's p x r_j block of `couplings` (p, len(basis)):
+    singular values above RANK_REL_TOL times the largest column norm, a
+    global scale, so a vanishing block cannot self-normalize to full rank."""
+    norms = check_finite(np.linalg.norm(couplings, axis=0), "the coupling column norms")
+    tol = RANK_REL_TOL * norms.max()
+    mult = np.array([group.multiplicity for group in basis.groups])
+    starts = np.cumsum(mult) - mult
+    ranks = np.empty(mult.size, dtype=int)
+    for r in np.unique(mult):
+        levels = np.flatnonzero(mult == r)
+        if r == 1:
+            ranks[levels] = norms[starts[levels]] > tol
+        else:  # one batched SVD of the (levels, p, r) blocks
+            blocks = couplings[:, starts[levels, None] + np.arange(r)].transpose(1, 0, 2)
+            ranks[levels] = np.count_nonzero(
+                np.linalg.svd(blocks, compute_uv=False) > tol, axis=1)
+    missing = np.flatnonzero(ranks < mult)
+    offending = int(missing[0]) + 1 if missing.size else None
+    return StrategicReport(
+        offending is None, basis.truncation, couplings.shape[0], int(mult.max()),
+        tuple(ranks.tolist()), tuple(mult.tolist()), offending,
+    )
 
 
 def strategic_test_1d(gset: GMatrixSet) -> StrategicReport:
-    """Necessary-and-sufficient rank test in one dimension.
-
-    On (0, 1) every eigenvalue -j**2 pi**2 is simple, so each group is the
-    single mode j, its coupling matrix is the p x 1 column (f_i, xi_j')_i,
-    and p >= 1 = r_j always holds.  Strategic at this truncation iff no
-    column vanishes: mode j has rank 1 when its norm exceeds RANK_REL_TOL
-    times the largest column norm.  The scale is global, so a vanishing
-    column cannot self-normalize to rank 1, and all columns have rank 0 when
-    every coupling is zero.
-    """
+    """`level_ranks` of the derivative couplings (f_i, xi_j')_i in one
+    dimension, where every level is the single mode j."""
     if gset.basis.dimension != 1:
         raise DomainError("the rank form of the strategic test is 1-D only")
-    norms = check_finite(np.linalg.norm(np.hstack([g[0] for g in gset.matrices]), axis=0),
-                         "the derivative-coupling column norms")
-    ranks = (norms > RANK_REL_TOL * norms.max()).astype(int)
-    missing = np.flatnonzero(ranks == 0)
-    offending = int(missing[0]) + 1 if missing.size else None
-    return StrategicReport(
-        offending is None, gset.basis.truncation, len(gset.suite), 1,
-        tuple(ranks.tolist()), (1,) * ranks.size, offending,
-    )
+    return level_ranks(gset.basis, np.hstack([g[0] for g in gset.matrices]))
 
 
 def kernel_test(

@@ -113,8 +113,8 @@ _PRESETS: dict[str, dict] = {
             "terms": [{"indices": [1, 1], "value": 1.0}],
         },
     },
-    # 1-D strategic demos: the midpoint sensor misses every odd mode's
-    # derivative; the 1/pi sensor sees them all.
+    # 1-D strategic demos: the midpoint sensor misses every even mode, as
+    # sin(j pi / 2) = 0; the 1/pi sensor sees them all.
     "strategic-1d-fail": {
         "alpha": 0.7,
         "horizon": 1.0,
@@ -198,7 +198,6 @@ _PRESETS: dict[str, dict] = {
         "dimension": 2,
         "truncation": 3,
         "potential_truncation": 3,
-        "gram_kind": "gradient",
         "region": [_STRIP_HALF],
         "sensors": copy.deepcopy(_THREE_POINTWISE),
         "initial": {"type": "modes", "terms": [{"indices": [1, 1], "value": 1.0}]},
@@ -209,7 +208,6 @@ _PRESETS: dict[str, dict] = {
         "dimension": 1,
         "truncation": 2,
         "potential_truncation": 2,
-        "gram_kind": "gradient",
         "region": None,
         "sensors": [
             {

@@ -146,6 +146,44 @@ def test_unweighted_small_alpha_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_unweighted_half_order_1d_strategic_is_a_config_error(tmp_path, capsys):
+    # 1-D strategic integrates the response in time too, through its verdict
+    config = preset("strategic-1d-pass")
+    config["alpha"] = 0.5
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["strategic", "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config.weighting" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "gram", "strategic", "reconstruct"])
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.15, 0.164])
+@pytest.mark.parametrize("name", ["strategic-1d-pass", "hum-synthetic"])
+def test_every_order_down_to_alpha_001_runs(tmp_path, capsys, name, alpha, command):
+    # below alpha = 1/6 the uncapped time grading collapsed the mesh (exit 3);
+    # a small order may leave Lambda numerically singular, which reconstruct
+    # refuses with its rank reported
+    config = preset(name)
+    config.update(alpha=alpha, weighting="compensated")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        code = main([command, "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    payload = json.loads((tmp_path / "report.json").read_text())["payload"]
+    if code == 4:
+        assert command == "reconstruct"
+        assert payload["rank"] < len(payload["potential_coefficients"])
+        assert f"Lambda has rank {payload['rank']} of" in err
+    else:
+        assert code == 0, err
+
+
 @pytest.mark.parametrize("name", ["counterexample", "counterexample-strip"])
 def test_time_integrals_of_the_unweighted_counterexample_exit_2(tmp_path, capsys,
                                                                 name):
@@ -179,9 +217,9 @@ def test_importing_the_cli_leaves_mpmath_unloaded():
 
 def test_warning_is_one_gradobs_line(tmp_path):
     # a fresh interpreter shows warnings; pytest records them instead.  Both
-    # Gramians are singular; case1-zone's smallest eigenvalue is rounding
-    # noise below zero, and the ratio warns whatever that noise's sign
-    for command, name in [("strategic", "hum-pipeline"), ("gram", "case1-zone")]:
+    # Gramians are singular; their smallest eigenvalues are rounding noise
+    # below zero, and the ratio warns whatever that noise's sign
+    for command, name in [("strategic", "strategic-1d-fail"), ("gram", "case1-zone")]:
         run = _fresh_interpreter("-m", "gradobs.cli", command, "--preset",
                                  name, "--out", str(tmp_path))
         assert run.returncode == 0
@@ -194,7 +232,7 @@ def test_warning_is_one_gradobs_line(tmp_path):
     default_format = warnings.formatwarning
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert main(["strategic", "--preset", "hum-pipeline",
+        assert main(["strategic", "--preset", "strategic-1d-fail",
                      "--out", str(tmp_path)]) == 0
     assert [w.category for w in seen] == [ConditioningWarning]
     assert warnings.formatwarning is default_format
@@ -248,6 +286,8 @@ _FILAMENT = {"kind": "filament", "axis": 0, "interval": [0.1, 0.5, 0.9],
         ("strategic", ("gram_truncation",), 2, "unknown field(s) 'gram_truncation'"),
         # 101**2 modes pass the basis cap
         ("simulate", ("truncation",), 101, "config.truncation: truncation 101"),
+        # a removed key: every command reads the gradient Gramian
+        ("gram", ("gram_kind",), "component", "unknown field(s) 'gram_kind'"),
     ],
 )
 def test_config_mistakes_exit_2(tmp_path, capsys, command, path, value, field):
@@ -370,7 +410,8 @@ def test_report_envelope_structure(tmp_path, capsys):
     assert report["tool"] == "gradobs"
     assert set(report) >= {"version", "command", "config", "payload"}
     assert report["payload"]["verdict"] is False
-    assert report["payload"]["offending_group"] == 1
+    # sin(j pi / 2) = 0 at every even j: the value coupling of level 2 vanishes
+    assert report["payload"]["offending_group"] == 2
 
 
 def test_strategic_pass_preset(tmp_path, capsys):
@@ -378,7 +419,8 @@ def test_strategic_pass_preset(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["payload"]["verdict"] is True
-    assert report["payload"]["ranks"] == [1] * 12
+    # the level ranks run over the test truncation Q = min(12, 6)
+    assert report["payload"]["ranks"] == [1] * 6
 
 
 def test_observation_roundtrip(tmp_path, capsys):
@@ -511,11 +553,11 @@ def test_counterexample_on_another_sensor_suite_is_a_config_error(tmp_path, caps
 
 @pytest.fixture(scope="module")
 def gram_and_reconstruct(tmp_path_factory):
-    """{preset: {command: (exit code, payload or None)}} of `gram` and
-    `reconstruct` on every preset; a report written on exit 4 is read too."""
+    """{preset: {command: (exit code, payload or None)}} of `strategic`, `gram`
+    and `reconstruct` on every preset; a report written on exit 4 is read too."""
     runs = {}
     for name in preset_names():
-        for command in ("gram", "reconstruct"):
+        for command in ("strategic", "gram", "reconstruct"):
             out = tmp_path_factory.mktemp(f"{name}-{command}")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ConditioningWarning)
@@ -545,14 +587,18 @@ def test_reconstruct_reports_the_gradient_gramian_smallest_eigenvalue(
 
 def test_reconstruct_refuses_exactly_where_gram_is_singular(gram_and_reconstruct):
     # reconstruct exits 4 with its report written exactly when gram's Gramian
-    # is not positive definite, and reports Lambda's rank either way
+    # is not positive definite, and reports Lambda's rank either way;
+    # strategic's verdict is that Gramian's
     refused = []
     for name, runs in gram_and_reconstruct.items():
         (gram_code, gram), (code, reconstruct) = runs["gram"], runs["reconstruct"]
+        strategic_code, strategic = runs["strategic"]
         if gram_code == 2:
-            assert code == 2, name
+            assert code == strategic_code == 2, name
             continue
         assert gram_code == 0 and gram["kind"] == "gradient", name
+        assert strategic_code == 0, name
+        assert strategic["verdict"] == gram["positive_definite"], name
         assert code == (0 if gram["positive_definite"] else 4), name
         full = len(reconstruct["potential_coefficients"])
         assert (reconstruct["rank"] == full) == gram["positive_definite"], name
@@ -566,7 +612,7 @@ def test_gram_and_reconstruct_share_the_test_truncation(tmp_path, capsys):
     # one key sets Q for gram's Gramian and for HUM's Lambda, so both
     # commands report one operator
     config = preset("hum-pipeline")
-    config.update(potential_truncation=2, gram_kind="gradient")
+    config.update(potential_truncation=2)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     payloads = {}

@@ -22,6 +22,7 @@ from gradobs.observability import (
     grad_overlap_matrix,
     gram_regional,
     kernel_test,
+    level_ranks,
     numerical_rank,
     overlap_matrix,
     response_kernel_matrix,
@@ -130,6 +131,33 @@ def test_strategic_verdict_matches_the_closed_form_rule():
         assert report.multiplicities == (1,) * t
         assert report.max_multiplicity == 1
         assert report.channel_count == len(suite)
+
+
+def test_level_ranks_match_a_per_level_svd():
+    # T = 8 in 2-D has levels of multiplicity 1 to 4 (65 = 1 + 64 = 16 + 49);
+    # each block's rank counts its singular values above the global scale,
+    # whatever the batched pass per multiplicity does
+    basis = build_basis(2, 8)
+    rng = np.random.default_rng(31)
+    bounds = np.cumsum([group.multiplicity for group in basis.groups])[:-1]
+    for p in (1, 2, 3, 5):
+        for fraction in (0.5, 1.0):
+            kappa = rng.normal(size=(p, len(basis)))
+            kappa[:, rng.random(len(basis)) > fraction] = 0.0  # some levels lose columns
+            report = level_ranks(basis, kappa)
+            tol = RANK_REL_TOL * np.linalg.norm(kappa, axis=0).max()
+            ranks = tuple(int(np.sum(np.linalg.svd(block, compute_uv=False) > tol))
+                          for block in np.split(kappa, bounds, axis=1))
+            multiplicities = tuple(g.multiplicity for g in basis.groups)
+            assert report.ranks == ranks
+            assert report.multiplicities == multiplicities
+            assert report.max_multiplicity == 4
+            assert report.channel_count == p
+            short = [j for j, (r, m) in enumerate(zip(ranks, multiplicities)) if r < m]
+            assert report.offending_group == (short[0] + 1 if short else None)
+            assert report.verdict == (not short)
+    # no coupling at all: every rank is 0
+    assert level_ranks(basis, np.zeros((2, len(basis)))).ranks == (0,) * len(basis.groups)
 
 
 def test_strategic_rank_form_is_one_dimensional_only():
