@@ -22,7 +22,7 @@ import tempfile
 import time
 import warnings
 from dataclasses import asdict
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -433,14 +433,26 @@ def read_observations(path: str, horizon: float) -> ObservationRecord:
     return ObservationRecord(grid, data[:, 1:].T)
 
 
+@lru_cache(maxsize=None)
+def _export_grid(dimension: int) -> tuple[list, np.ndarray, str]:
+    """The axes and points of the uniform GRID_POINTS-per-axis export grid,
+    and the gradient CSV as a template: the header, then per point its
+    coordinates, formatted once as `_csv` formats them, and a %.17g per
+    component."""
+    axes = [np.linspace(0.0, 1.0, GRID_POINTS)] * dimension
+    pts = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
+    names = [f"{v}{i + 1}" for v in "xg" for i in range(dimension)]
+    coordinates = _csv(names[:dimension], pts.T).splitlines()[1:]
+    components = ",%.17g" * dimension + "\n"
+    return axes, pts, ",".join(names) + "\n" + components.join(coordinates) + components
+
+
 def _gradient_csv(field: SpectralField, region: Region) -> str:
     """p_omega grad(field) on the uniform GRID_POINTS-per-axis export grid."""
-    axes = [np.linspace(0.0, 1.0, GRID_POINTS)] * field.basis.dimension
-    pts = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
+    axes, pts, template = _export_grid(field.basis.dimension)
     comps = field.grid_gradient(axes).reshape(len(axes), -1) \
         * region.contains(pts)[None, :]
-    names = [f"{v}{i + 1}" for v in "xg" for i in range(pts.shape[1])]
-    return _csv(names, [*pts.T, *comps])
+    return template % tuple(comps.ravel(order="F").tolist())
 
 
 # -------------------------------------------------------------- commands ---

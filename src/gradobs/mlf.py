@@ -20,8 +20,17 @@ So the series' ``lgamma(alpha*k + beta)`` and the asymptotic coefficients
 pole offset (k-1)(1-alpha)) with their envelopes ``lgamma(alpha*k + 1 -
 beta)`` live in per-(alpha, beta) tables behind a bounded LRU cache.  Each
 table grows on demand up to the largest k a call has reached.  The loops
-read the same values in the same order, so every result is bit-for-bit
-the one a table-free evaluation gives.
+read the same values in the same order, so every series and asymptotic
+result is bit-for-bit the one a table-free evaluation gives.
+
+The gap band at beta = alpha, the pair a response matrix evaluates in
+bulk, reads a per-alpha Chebyshev interpolant of
+``log((1+x)**2 E_{alpha,alpha}(-x))`` instead, built once from Laplace-
+integral samples behind a second bounded LRU cache and summed by Clenshaw's
+recurrence.  It is a fixed function of alpha, so a value does not depend on
+which calls built its table; it stays within 7e-15 relative of a 30-digit
+power series for alpha from 0.05 to 1 - 1e-10 (the test suite's frozen
+table).  Every other beta in the gap integrates per call.
 
 The one-sided stable density ``psi_alpha`` and the Mainardi density
 ``phi_alpha(theta) = theta**(-1-1/alpha)/alpha * psi_alpha(theta**(-1/alpha))``,
@@ -54,6 +63,11 @@ ASYMPTOTIC_TERMS = 400
 SERIES_CAP = 4000
 THETA_MIN = 0.05
 TERM_TABLES = 16  # (alpha, beta) pairs whose term tables are kept
+# gap-band table of E_{alpha,alpha}: Chebyshev degrees doubled from the first
+# up to the largest, until every coefficient of the top quarter is below tol
+GAP_TABLE_FIRST_DEGREE = 16
+GAP_TABLE_MAX_DEGREE = 512
+GAP_TABLE_TOL = 1e-15
 LOG_PI = math.log(math.pi)
 PHI_THETA_ZERO = 1e-250
 # Laplace-integral quadrature (gap branch): 24-point Gauss-Legendre panels,
@@ -266,6 +280,59 @@ def _mlf_laplace(alpha: float, beta: float, z: float) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=TERM_TABLES)
+def _gap_table(alpha: float) -> tuple[float, float, list] | None:
+    """Chebyshev interpolant of log((1+x)**2 E_{alpha,alpha}(-x)) on the gap
+    band x in [9**alpha, 34**alpha], for 0 < alpha < 1.
+
+    E_{alpha,alpha}(-x) is positive, so its log is smooth and an absolute
+    error there is a relative one in E; the (1+x)**2 factor takes out the
+    x**-2 decay.  The samples are `_laplace_integral` values at Chebyshev-
+    Lobatto points; the degree doubles from GAP_TABLE_FIRST_DEGREE, reusing
+    every sample, until the top quarter of the coefficients is below
+    GAP_TABLE_TOL (Battles & Trefethen, SISC 25, 2004), and the trailing
+    coefficients below it are dropped.  Returns the band's centre, its half-
+    width and the coefficients from the highest degree down, or None when
+    GAP_TABLE_MAX_DEGREE does not resolve the band (the gap branch then
+    integrates per call).
+    """
+    lo = SERIES_SAFE_NATS**alpha
+    hi = ASYMPTOTIC_SAFE_NATS**alpha
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+    def log_samples(k, n):  # at the Lobatto points cos(pi k / n)
+        return [math.log((1.0 + x) ** 2 * _laplace_integral(alpha, alpha, x))
+                for x in (mid + half * np.cos(np.pi * k / n)).tolist()]
+
+    n = GAP_TABLE_FIRST_DEGREE
+    values = np.array(log_samples(np.arange(n + 1), n))
+    while True:
+        # DCT-I of the samples, from the FFT of their even extension (a
+        # cosine-matrix product instead loses a digit next to alpha = 1)
+        coeffs = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
+        coeffs[[0, n]] *= 0.5
+        if np.max(np.abs(coeffs[-(n // 4):])) < GAP_TABLE_TOL:
+            kept = np.flatnonzero(np.abs(coeffs) >= GAP_TABLE_TOL)
+            return mid, half, coeffs[:max(kept, default=0) + 1][::-1].tolist()
+        if n >= GAP_TABLE_MAX_DEGREE:
+            return None
+        refined = np.empty(2 * n + 1)
+        refined[0::2] = values
+        refined[1::2] = log_samples(np.arange(1, 2 * n, 2), 2 * n)
+        values, n = refined, 2 * n
+
+
+def _mlf_gap_table(table: tuple[float, float, list], x: float) -> float:
+    """E_{alpha,alpha}(-x) from its `_gap_table`, by Clenshaw's recurrence."""
+    mid, half, coeffs = table
+    t = (x - mid) / half
+    t2 = t + t
+    b1 = b2 = 0.0
+    for c in coeffs[:-1]:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return math.exp(coeffs[-1] + t * b1 - b2) / ((1.0 + x) * (1.0 + x))
+
+
 def _mlf_asymptotic(alpha: float, beta: float, z: float) -> float:
     """Asymptotic expansion for large negative z, truncated at the smallest term."""
     terms = _terms(alpha, beta)[1]
@@ -328,6 +395,9 @@ def mlf(alpha: float, beta: float, z: float) -> float:
         # the omitted exponentially small part is exp(-peak_nats) <= 2e-15
         return _mlf_asymptotic(alpha, beta, z)
     if alpha < 1.0:
+        table = _gap_table(alpha) if beta == alpha else None
+        if table is not None:
+            return _mlf_gap_table(table, -z)
         return _mlf_laplace(alpha, beta, z)
     return _mlf_series_mp(alpha, beta, z, peak_nats)
 

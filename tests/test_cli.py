@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradobs.cli as cli_module
 from gradobs.cli import Experiment, main, read_observations
 from gradobs.errors import ConfigError
 from gradobs.observability import ConditioningWarning
 from gradobs.presets import preset, preset_names
 from gradobs.sensing import (BilinearTable, Sensor, SensorSuite, ZONE,
                              coupling_matrix)
-from gradobs.spectral import Region
+from gradobs.spectral import Region, SpectralField, build_basis
 
 
 def _read(path):
@@ -531,6 +532,27 @@ def test_csv_artifact_format(tmp_path, capsys, name, header):
                  "--out", str(tmp_path), "--save"]) == 0
     assert len(_csv_rows(tmp_path / "mlf.csv", "z,value")) == 4
     assert (tmp_path / "mlf.csv").read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dimension,rect", [
+    (1, ((0.25, 0.6),)),
+    (2, ((0.0, 1.0), (0.1, 0.5))),
+])
+def test_gradient_csv_equals_the_plain_template(dimension, rect):
+    # the export grid's coordinates are formatted once per process; the
+    # text must be what `_csv` gives on every column, masked gradient
+    # values (zeros and negative zeros outside the region) included
+    basis = build_basis(dimension, 4)
+    coefficients = np.random.default_rng(dimension).normal(size=len(basis))
+    field = SpectralField(basis, coefficients)
+    region = Region((rect,))
+    axes = [np.linspace(0.0, 1.0, cli_module.GRID_POINTS)] * dimension
+    pts = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
+    comps = field.grid_gradient(axes).reshape(dimension, -1) * region.contains(pts)
+    names = [f"{v}{i + 1}" for v in "xg" for i in range(dimension)]
+    plain = cli_module._csv(names, [*pts.T, *comps])
+    for _ in range(2):  # the template's first build and a cached reuse
+        assert cli_module._gradient_csv(field, region) == plain
 
 
 def test_counterexample_command(tmp_path, capsys):

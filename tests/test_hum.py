@@ -375,44 +375,64 @@ def test_discrepancy_rule_matches_cg_scan(monkeypatch):
 
 @pytest.mark.parametrize("op", [97, 297])
 def test_discrepancy_rule_steps_to_the_cg_misfit_crossing(monkeypatch, op):
-    # ops 97 and 297 of the `regularize` benchmark workload at seed 101,
-    # rebuilt from its recipe: truth t is mode (1,1) plus two modes of index
-    # <= 3, drawn by default_rng([t + 1, 2]); each block of nine ops permutes
-    # the (truth, sigma) pairs; the noise is seeded per op.  On these the
-    # closed-form crossing is one grid step off the CG one, so the
-    # confirmation steps; the returned eps must hold for what `solve` returns
+    # the record of op 97 or 297 of the `regularize` benchmark workload at
+    # seed 101, rebuilt from its recipe: truth t is mode (1,1) plus two modes
+    # of index <= 3, drawn by default_rng([t + 1, 2]); each block of nine ops
+    # permutes the (truth, sigma) pairs; the noise is seeded per op.  At the
+    # grid eps where the closed-form misfit first exceeds that op's level,
+    # the CG misfit at tolerance 1e-12 differs from it by 3e-4 (op 97) and
+    # 3e-5 (op 297) relative.  The rule's sigma is chosen here so that its
+    # level falls between the two, so the closed-form crossing is one grid
+    # step off the CG one and the confirmation steps, whatever the last bits
+    # of either misfit; the returned eps must hold for what `solve` returns
     ctx = _context(5)
     low = [(m, n) for m in (1, 2, 3) for n in (1, 2, 3) if (m, n) != (1, 1)]
     pair = np.random.default_rng([102, op // 9 + 1, 3]).permutation(9)[op % 9]
-    sigma, truth = (1e-4, 1e-3, 1e-2)[pair % 3], pair // 3
+    noise_sigma, truth = (1e-4, 1e-3, 1e-2)[pair % 3], pair // 3
     rng = np.random.default_rng([truth + 1, 2])
     c0 = np.zeros(len(ctx.basis))
     c0[ctx.basis.index_of((1, 1))] = rng.uniform(0.5, 1.5)
     for p in rng.choice(len(low), size=2, replace=False):
         c0[ctx.basis.index_of(low[p])] = rng.normal(0.0, 0.5)
     clean = ctx.forward_channels(np.linalg.solve(ctx.d_matrix.T, c0))
-    noise = np.random.default_rng([102, op + 1, 4]).normal(0.0, sigma, clean.shape)
+    noise = np.random.default_rng([102, op + 1, 4]).normal(0.0, noise_sigma, clean.shape)
     record = ObservationRecord(ctx.time_grid(), clean + noise)
     cfg = HumConfig(cg_tolerance=1e-12, max_iterations=2000)
-    cg, calls = hum_module._conjugate_gradients, []
-    monkeypatch.setattr(hum_module, "_conjugate_gradients",
-                        lambda *args: calls.append(args[1]) or cg(*args))
-    eps = discrepancy_regularization(record, cfg, ctx, sigma)
-    monkeypatch.undo()
-    assert sigma == 1e-4 and len(calls) == 3  # the two confirmations and a step
     wq = ctx.quad_weights * ctx.weight_values
-    level = DISCREPANCY_FACTOR**2 * sigma**2 * len(ctx.suite) * float(np.sum(wq))
+    per_sigma2 = DISCREPANCY_FACTOR**2 * len(ctx.suite) * float(np.sum(wq))
     scale = float(np.max(np.abs(apply_lambda(np.ones(ctx.size), ctx))))
     grid = scale * 10.0 ** (-EPS_GRID_DECADES + np.arange(
         EPS_GRID_DECADES * EPS_GRID_PER_DECADE + 1) / EPS_GRID_PER_DECADE)
-    pos = int(np.argmin(np.abs(grid - eps)))
-    assert eps > 0.0 and eps == pytest.approx(grid[pos], rel=1e-12)
 
     def misfit(e):
         result = solve(record, HumConfig(1e-12, 2000, float(e)), ctx)
         model = ctx.forward_channels(result.potential.coefficients)
         return float(np.sum(wq * (model - record.channels) ** 2))
 
+    # every grid misfit in closed form, from the Tikhonov filter factors
+    y = (record.channels * ctx.root_weights).ravel()
+    beta = ctx.singular_vectors.T @ y
+    outside = float(np.sum((y - ctx.singular_vectors @ beta) ** 2))
+    exact = (grid[:, None] / (ctx.lambda_eigenvalues + grid[:, None])) ** 2 @ beta**2 \
+        + outside
+    i = int(np.flatnonzero(exact > noise_sigma**2 * per_sigma2)[0])
+    below, at, above = (misfit(grid[k]) for k in (i - 1, i, i + 1))
+    level = math.sqrt(exact[i] * at)
+    # a gap far above rounding, and both neighbours clear of the level
+    assert abs(at / exact[i] - 1.0) > 1e-6
+    assert max(exact[i - 1], below) < min(exact[i], at) <= max(exact[i], at) \
+        < min(exact[i + 1], above)
+    sigma = math.sqrt(level / per_sigma2)
+
+    cg, calls = hum_module._conjugate_gradients, []
+    monkeypatch.setattr(hum_module, "_conjugate_gradients",
+                        lambda *args: calls.append(args[1]) or cg(*args))
+    eps = discrepancy_regularization(record, cfg, ctx, sigma)
+    monkeypatch.undo()
+    assert noise_sigma == 1e-4 and len(calls) == 3  # the two confirmations and a step
+    assert eps == grid[i if at < level else i - 1]
+    pos = int(np.argmin(np.abs(grid - eps)))
+    assert eps > 0.0 and eps == pytest.approx(grid[pos], rel=1e-12)
     assert misfit(eps) <= level < misfit(grid[pos + 1])
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradobs.mlf as mlf_module
+import mlf_gap_table
 from gradobs.errors import DomainError
 from gradobs.mlf import (
     BETA_MAX,
@@ -99,6 +100,229 @@ def test_gap_branch_against_mp_series(alpha):
             ), (beta, peak_nats)
 
 
+# (alpha, z, E_{alpha,alpha}(z)) across the gap band, frozen from
+# ``python tests/mlf_gap_table.py`` (mpmath power series, 30 digits checked
+# against a sum 15 digits finer)
+GAP_BAND_TABLE = [
+    (0.05, -1.1161231740339603, 0.0111571484121482684493995842586),
+    (0.05, -1.1237640213404236, 0.0110759119664194849285194655065),
+    (0.05, -1.1305295893952128, 0.0110047190449899897157730618043),
+    (0.05, -1.136603725732501, 0.0109413845813152906848077601615),
+    (0.05, -1.142117495976746, 0.0108843648184317797255694622305),
+    (0.05, -1.1471676871518381, 0.0108325289305062903783418153561),
+    (0.05, -1.1518278406183673, 0.0107850239628289257435932086092),
+    (0.05, -1.1561551682063715, 0.0107411907930355962325476721832),
+    (0.05, -1.1601950693022804, 0.0107005096129662665024316594542),
+    (0.05, -1.1639841840190133, 0.0106625633070976721557388181612),
+    (0.05, -1.167552517858674, 0.0106270121141137809970259975072),
+    (0.05, -1.1709249577303393, 0.0105935756435970169661552065398),
+    (0.05, -1.174122377489019, 0.0105620198274255867995352011107),
+    (0.05, -1.177162459691459, 0.0105321472662028416713280047476),
+    (0.05, -1.1800603168306159, 0.0105037899636583883058752286548),
+    (0.05, -1.182828968111688, 0.0104768037739540465397905339238),
+    (0.05, -1.185479710342499, 0.0104510640993855199747166551914),
+    (0.05, -1.1880224099953012, 0.0104264625153461980260832613147),
+    (0.05, -1.1904657357525428, 0.0104029040927857780536952577568),
+    (0.05, -1.1928173455402677, 0.010380305252161142306653167803),
+    (0.3, -1.9331820449323427, 0.0336655070602648710288997091508),
+    (0.3, -2.0139595385882667, 0.0317417082116095438583020538713),
+    (0.3, -2.0878130210507004, 0.0301212537812891636056721766158),
+    (0.3, -2.1560282739327956, 0.0287305747229553950752471037322),
+    (0.3, -2.2195488455667607, 0.0275191197171710590521144738075),
+    (0.3, -2.279089776782885, 0.0264507993959799199884163122517),
+    (0.3, -2.3352072452758623, 0.0254990367292214692071741548533),
+    (0.3, -2.3883432835217775, 0.0246437499426460939898516350824),
+    (0.3, -2.4388556296155652, 0.0238694327611121656075222564614),
+    (0.3, -2.487038312045488, 0.0231638881977904618676451523351),
+    (0.3, -2.533136241918049, 0.0225173675139811859496040616872),
+    (0.3, -2.5773558056596912, 0.0219219691100263105136627486633),
+    (0.3, -2.6198727147988015, 0.0213712091716163248440456076809),
+    (0.3, -2.6608379294714997, 0.0208597087721064171803407199705),
+    (0.3, -2.7003822006164464, 0.0203829617498969336449085886951),
+    (0.3, -2.7386196031265477, 0.019937159753345333766932227521),
+    (0.3, -2.7756503195961146, 0.0195190584811688454782893464211),
+    (0.3, -2.811562859150062, 0.0191258740939517860258602133056),
+    (0.3, -2.846435844658183, 0.0187552020490436186680198934357),
+    (0.3, -2.8803394661265735, 0.0184049528243135607467108812283),
+    (0.55, -3.3483695221035554, 0.0241246113390294069295618237808),
+    (0.55, -3.6093280671440575, 0.0209873266623885699731042729146),
+    (0.55, -3.855682550689116, 0.0185401562119548564100966714324),
+    (0.55, -4.089778884898396, 0.0165809530955495491279180894407),
+    (0.55, -4.313389029771981, 0.0149790272338733126351757456841),
+    (0.55, -4.527890969046059, 0.0136462310588280875008318321407),
+    (0.55, -4.734381898132707, 0.0125210109169547201738998200432),
+    (0.55, -4.933752662969026, 0.0115591188577113674906272622296),
+    (0.55, -5.126738545514216, 0.0107279545617857512015305592036),
+    (0.55, -5.313954992262195, 0.0100029855841869779683661988269),
+    (0.55, -5.495923414123813, 0.00936540798355129081047998028788),
+    (0.55, -5.673090239568988, 0.00880057410981393378985595230145),
+    (0.55, -5.8458412626680705, 0.0082969097724149530287421748077),
+    (0.55, -6.0145126347045625, 0.00784515217020604249911588777706),
+    (0.55, -6.17939941323594, 0.00743780316305497632064560521317),
+    (0.55, -6.34076230192633, 0.00706873023212993342289051118672),
+    (0.55, -6.498833028907911, 0.00673287068839993717405657878932),
+    (0.55, -6.653818685948306, 0.00642600931897764330778651646523),
+    (0.55, -6.805905264155471, 0.0061446090926341452418290443723),
+    (0.55, -6.955260561178889, 0.00588568075190758095532111861153),
+    (0.8, -5.799546134799929, 0.00823723900590476435272362534515),
+    (0.8, -6.468476077431833, 0.00632517366872531767925843896562),
+    (0.8, -7.120507335569258, 0.00502554357184481738377277895637),
+    (0.8, -7.757918358301703, 0.0041017076760577873791119406418),
+    (0.8, -8.3824805024313, 0.00342069531379967292050921300455),
+    (0.8, -8.9956072974487, 0.00290345700032794270960026326203),
+    (0.8, -9.598450845299086, 0.00250071375397095561442123975775),
+    (0.8, -10.191966752560003, 0.00218048089681202294016297013187),
+    (0.8, -10.776959404605776, 0.00192126907428878828470177842522),
+    (0.8, -11.354114459364155, 0.00170820355228501977916612673831),
+    (0.8, -11.924022748592266, 0.00153071793681408036884011512566),
+    (0.8, -12.487198234570185, 0.00138113413610833870922327085239),
+    (0.8, -13.044091751204435, 0.0012537602410769072750043895167),
+    (0.8, -13.595101690468546, 0.00114430131389302267337393054731),
+    (0.8, -14.14058243295477, 0.0010494649171414092809703340011),
+    (0.8, -14.680851084111755, 0.000966691105572337843704005213516),
+    (0.8, -15.21619291862743, 0.000893963889730139050394734757129),
+    (0.8, -15.74686582638195, 0.000829677195112429974835291933858),
+    (0.8, -16.27310397723774, 0.000772537994239524133047119966774),
+    (0.8, -16.79512086780005, 0.000721495251984123831030895560171),
+    (0.95, -8.06362613857452, 0.00157768912352736825027575604099),
+    (0.95, -9.179675873035652, 0.00105339840647678576445082694683),
+    (0.95, -10.288610803712658, 0.000759065361100750955798080205843),
+    (0.95, -11.391277476860731, 0.000577003913171123533617344224116),
+    (0.95, -12.488345502963249, 0.000455698141118416693489200603308),
+    (0.95, -13.580357556182658, 0.000370241943938372422527525312027),
+    (0.95, -14.667762183135977, 0.000307453962713291137401136727065),
+    (0.95, -15.750936220819561, 0.000259796953788242069004057798665),
+    (0.95, -16.83020063274053, 0.000222678348355849477594017475947),
+    (0.95, -17.905832011560605, 0.000193152567637241070248921952703),
+    (0.95, -18.978071134205027, 0.000169250451262169907001821644104),
+    (0.95, -20.047129455696712, 0.000149610226883393679926017146548),
+    (0.95, -21.11319412651461, 0.000133263268891139965342912962746),
+    (0.95, -22.17643192999637, 0.000119504001930653431223652828393),
+    (0.95, -23.23699241512154, 0.000107807856023835579918280174488),
+    (0.95, -24.295010419925475, 0.0000977778391754578247177619026206),
+    (0.95, -25.350608126616365, 0.0000891087756983146865371709977572),
+    (0.95, -26.403896752044975, 0.0000815627911660396878798423544748),
+    (0.95, -27.45497795083934, 0.0000749521515736093300178568381074),
+    (0.95, -28.50394498963815, 0.0000691270256127806365814589176732),
+    (0.99, -8.804406471571257, 0.000382149106194188928062367326061),
+    (0.99, -10.077839690579713, 0.00020894579675249131737877665535),
+    (0.99, -11.349645218169455, 0.000135177731984478318612136341718),
+    (0.99, -12.620009768958955, 0.0000975210815373728913153264475476),
+    (0.99, -13.889081714255832, 0.0000750740785144726973516960088152),
+    (0.99, -15.156981795794962, 0.0000601460712040401320730196675404),
+    (0.99, -16.423810185764076, 0.0000494919747228414023310809230455),
+    (0.99, -17.689651329302578, 0.0000415306848097245325594003037479),
+    (0.99, -18.954577377175216, 0.0000353890631606884501258976402309),
+    (0.99, -20.21865068707806, 0.0000305371025414425561910226071014),
+    (0.99, -21.48192568948513, 0.0000266308892446850217708053379661),
+    (0.99, -22.74445030782794, 0.0000234365056914314355154868933794),
+    (0.99, -24.006267058592837, 0.0000207892341995439362794686106948),
+    (0.99, -25.267413916710765, 0.0000185699112514099407987852137911),
+    (0.99, -26.52792500566681, 0.0000166904072826120077880320413563),
+    (0.99, -27.78783115456845, 0.0000150843175680718365558724170957),
+    (0.99, -29.04716035275748, 0.0000137007917851693490001529632724),
+    (0.99, -30.305938124483276, 0.0000125003324643659928060715523671),
+    (0.99, -31.56418784046634, 0.0000114518687940897456628923500368),
+    (0.99, -32.82193097906864, 0.0000105306785839557651252140743509),
+    (0.999, -8.98024668799135, 0.000148559671628271911795133222179),
+    (0.999, -10.29174383494278, 0.0000500703586973556916934052541306),
+    (0.999, -11.603073253028235, 0.0000210013827890371158462013996074),
+    (0.999, -12.914254020941325, 0.0000114800123864389577748915733423),
+    (0.999, -14.225301315137642, 0.00000773927524015539497159622692612),
+    (0.999, -15.536227497387582, 0.00000588171477711829188094131941156),
+    (0.999, -16.847042832129134, 0.00000474678767877269730069184926439),
+    (0.999, -18.15775597892561, 0.00000395437855635236228874743529629),
+    (0.999, -19.468374341824365, 0.00000335919247322515029390089533945),
+    (0.999, -20.778904324108716, 0.00000289377000049349792955764196005),
+    (0.999, -22.089351518456134, 0.00000252061517827120670930389153854),
+    (0.999, -23.399720851765522, 0.00000221606121778847551106237237564),
+    (0.999, -24.71001669740782, 0.00000196397251255695339097061994994),
+    (0.999, -26.020242963575672, 0.00000175282979165832932971286353706),
+    (0.999, -27.330403163774285, 0.00000157416028550937592321694401039),
+    (0.999, -28.640500473750347, 0.00000142159540337658402082449565974),
+    (0.999, -29.95053777797185, 0.00000129026458182583519297119875901),
+    (0.999, -31.260517707951596, 0.00000117638787673244253187191816766),
+    (0.999, -32.5704426741288, 0.00000107699380379807973359911810095),
+    (0.999, -33.8803148925741, 0.000000989719467793524030519872269122),
+    (0.999999, -8.99998022500953, 0.000123434873587059013990244515015),
+    (0.999999, -10.315765400005285, 0.0000331231125507458248554734462159),
+    (0.999999, -11.631550406722244, 0.00000889321922206377206732361358071),
+    (0.999999, -12.947335264275667, 0.00000239153240508268706598295943185),
+    (0.999999, -14.263119987879998, 0.000000646192747800587492664268075644),
+    (0.999999, -15.578904589929223, 0.000000177133614124154446881647974379),
+    (0.999999, -16.894689080715498, 0.0000000506691545124099798617461515189),
+    (0.999999, -18.2104734689225, 0.0000000162579843005527826754764584645),
+    (0.999999, -19.526257761975486, 0.00000000664610934716607304745642470791),
+    (0.999999, -20.84204196629654, 0.00000000376344797591199978097393895522),
+    (0.999999, -22.157826087495142, 0.00000000274316241867185911328838430873),
+    (0.999999, -23.47361013051332, 0.00000000226611639428153345649283571729),
+    (0.999999, -24.78939409973811, 0.00000000196869360386410559259826416315),
+    (0.999999, -26.10517799909016, 0.00000000174619246631514121964354220576),
+    (0.999999, -27.420961832094353, 0.00000000156516851978545970798476190562),
+    (0.999999, -28.73674560193687, 0.00000000141257398420324049776449296977),
+    (0.999999, -30.052529311511815, 0.00000000128176199967834794962245958786),
+    (0.999999, -31.368312963459594, 0.00000000116848837448945777453297660553),
+    (0.999999, -32.68409656019892, 0.00000000106966691325505710035175657398),
+    (0.999999, -33.99988010391956, 9.82911904559445886399742885269e-10),
+    (0.9999999999, -8.999999998031498, 0.000123409806592511115058626987719),
+    (0.9999999999, -10.31578947127684, 0.0000331062185161055648324876196729),
+    (0.9999999999, -11.631578944514352, 0.00000888115615741770675948248279798),
+    (0.9999999999, -12.94736841773695, 0.00000238248132199545232523834023291),
+    (0.9999999999, -14.263157890946152, 0.000000639130748222100678052326204289),
+    (0.9999999999, -15.578947364143195, 0.000000171455161040286039765735789495),
+    (0.9999999999, -16.894736837329116, 0.0000000459952972446337244300169179355),
+    (0.9999999999, -18.21052631050478, 0.0000000123390778206455095490256273618),
+    (0.9999999999, -19.526315783670928, 0.00000000331033975863546100715255218876),
+    (0.9999999999, -20.8421052568282, 8.88237918918999033766278283665e-10),
+    (0.9999999999, -22.15789472997716, 2.38454239398213651854094040907e-10),
+    (0.9999999999, -23.473684203118303, 6.41213412425387669900104245971e-11),
+    (0.9999999999, -24.789473676252065, 1.73374254298028687708900332e-11),
+    (0.9999999999, -26.105263149378843, 4.77278609295045678605527674957e-12),
+    (0.9999999999, -27.421052622498983, 1.39003166109067562956885371452e-12),
+    (0.9999999999, -28.736842095612808, 4.72162456203171996837867907179e-13),
+    (0.9999999999, -30.052631568720606, 2.16945003186648096803404164771e-13),
+    (0.9999999999, -31.368421041822643, 1.40661620612175573639562786859e-13),
+    (0.9999999999, -32.684210514919165, 1.13354253629107370551348006347e-13),
+    (0.9999999999, -33.99999998797637, 1.00004256270071186964615794903e-13),
+]
+
+
+@pytest.mark.parametrize("alpha", sorted({row[0] for row in GAP_BAND_TABLE}))
+def test_gap_band_table_against_frozen_mp_series(alpha):
+    # beta = alpha in the gap band reads the per-alpha Chebyshev table of
+    # log((1+x)**2 E(-x)); every point is within 1e-14 relative of the frozen
+    # series, both band ends included (6.7e-15 at alpha = 1 - 1e-10, the
+    # largest, where E spans ten decades over the band)
+    rows = [(z, value) for a, z, value in GAP_BAND_TABLE if a == alpha]
+    assert len(rows) >= 20
+    for z, value in rows:
+        assert mlf_module.SERIES_SAFE_NATS < (-z) ** (1.0 / alpha) \
+            < mlf_module.ASYMPTOTIC_SAFE_NATS
+        assert mlf(alpha, alpha, z) == pytest.approx(value, rel=1e-14, abs=0.0), z
+    assert mlf_module._gap_table(alpha) is not None
+
+
+@pytest.mark.parametrize("row", [0, 119, 179])
+def test_gap_band_rows_match_their_generator(row):
+    alpha, z, value = GAP_BAND_TABLE[row]
+    assert z in mlf_gap_table.band_arguments(alpha)
+    assert float(mlf_gap_table.gap_value(alpha, z)) == pytest.approx(value, rel=1e-15)
+
+
+def test_unresolved_gap_table_falls_back_to_the_quadrature(monkeypatch):
+    # a table that GAP_TABLE_MAX_DEGREE does not resolve is not used: the
+    # gap band at beta = alpha then integrates per call, as other betas do
+    monkeypatch.setattr(mlf_module, "GAP_TABLE_MAX_DEGREE",
+                        mlf_module.GAP_TABLE_FIRST_DEGREE)
+    mlf_module._gap_table.cache_clear()
+    try:
+        assert mlf_module._gap_table(0.95) is None
+        z = _at_peak_nats(0.95, 20.0)
+        assert mlf(0.95, 0.95, z) == mlf_module._mlf_laplace(0.95, 0.95, z)
+    finally:
+        mlf_module._gap_table.cache_clear()
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 0.9, 0.97, 0.99])
 def test_branch_seams_against_mp_series(alpha):
     # each side is held to what its method meets: the double-precision
@@ -152,32 +376,37 @@ def test_asymptotic_coefficients_from_the_exact_pole_offset(alpha):
 
 def test_term_tables_leave_every_value_unchanged(monkeypatch):
     # a value must not depend on which calls filled its (alpha, beta) tables
-    # or how often they were evicted: compare, over series and asymptotic
-    # arguments, against calls that each get empty tables of their own
-    tables = mlf_module._terms
-    maxsize = tables.cache_info().maxsize
+    # or built its alpha's gap-band table, or how often they were evicted:
+    # compare, over series, gap and asymptotic arguments, against calls that
+    # each get tables of their own
+    caches = (mlf_module._terms, mlf_module._gap_table)
+    maxsize = min(cache.cache_info().maxsize for cache in caches)
     assert maxsize >= 8  # the mlf-scan benchmark cycles through 4 alphas
     args = [
         (alpha, beta, z)
         for alpha in (0.3, 0.8, 0.95)
         for beta in (alpha, 1.0)
         for z in [0.9, -0.5] + [_at_peak_nats(alpha, nats)
-                                for nats in (5.0, 8.99, 34.5, 60.0, 400.0)]
+                                for nats in (5.0, 8.99, 9.5, 20.0, 33.5, 34.5, 60.0,
+                                             400.0)]
     ]
     with monkeypatch.context() as patch:
         patch.setattr(mlf_module, "_terms", lambda alpha, beta: ([], []))
+        patch.setattr(mlf_module, "_gap_table", mlf_module._gap_table.__wrapped__)
         reference = [mlf(*arg) for arg in args]
-    tables.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     assert [mlf(*arg) for arg in args] == reference
-    fillers = [(0.1 + 0.05 * i, 0.5) for i in range(maxsize + 1)]
+    fillers = [0.1 + 0.05 * i for i in range(maxsize + 1)]
     rng = random.Random(4)
     for _ in range(2):
         for i in rng.sample(range(len(args)), len(args)):
-            for alpha, beta in rng.choices(fillers, k=rng.randint(0, maxsize)):
-                mlf(alpha, beta, _at_peak_nats(alpha, rng.choice((3.0, 40.0))))
-                assert tables.cache_info().currsize <= maxsize
+            for alpha in rng.choices(fillers, k=rng.randint(0, maxsize)):
+                beta = rng.choice((0.5, alpha))
+                mlf(alpha, beta, _at_peak_nats(alpha, rng.choice((3.0, 20.0, 40.0))))
             assert mlf(*args[i]) == reference[i], args[i]
-            assert tables.cache_info().currsize <= maxsize
+            for cache in caches:
+                assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
 
 def test_gap_branch_uses_mpmath_only_at_integer_order(monkeypatch):
