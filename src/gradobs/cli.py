@@ -549,33 +549,33 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
             noise_sigma=experiment.noise_sigma,
             noise_seed=experiment.noise_seed,
         )
+    rank, eps = numerical_rank(context.lambda_eigenvalues), experiment.hum.regularization
+    payload = {"rank": rank, "size": context.size, "regularization": eps,
+               "smallest_eigenvalue": context.smallest_eigenvalue + eps}
+    if rank < context.size:  # refused before a solve that gives rounding noise
+        _write_report(out_dir, "reconstruct", experiment.config, payload)
+        raise ConvergenceError(
+            f"Lambda has rank {rank} of {context.size}: the sensors are not "
+            "gradient strategic on the region, so no reconstruction is unique"
+        )
     result = solve(record, experiment.hum, context)
-    rank = numerical_rank(context.lambda_eigenvalues)
     state_coefficients = context.d_matrix.T @ result.potential.coefficients
     state = SpectralField(experiment.basis, state_coefficients)
     _write(out_dir, "gradient.csv", _gradient_csv(state, experiment.region))
-    payload = {
+    payload.update({
         "potential_coefficients": result.potential.coefficients,
         "state_coefficients": state_coefficients,
         "iterations": result.iterations,
         "residual": result.residual,
         "converged": result.converged,
-        "smallest_eigenvalue": result.smallest_eigenvalue,
-        "regularization": result.regularization,
         "gradient_norm": result.gradient.norm,
-        "rank": rank,
-    }
+    })
     if truth is not None:
         payload["relative_error"] = reconstruction_error(
             result.gradient, restrict_gradient(truth, experiment.region)
         )
         _write(out_dir, "gradient_true.csv", _gradient_csv(truth, experiment.region))
     _write_report(out_dir, "reconstruct", experiment.config, payload)
-    if rank < context.size:
-        raise ConvergenceError(
-            f"Lambda has rank {rank} of {context.size}: the sensors are not "
-            "gradient strategic on the region, so no reconstruction is unique"
-        )
     if not result.converged:
         raise ConvergenceError(
             f"conjugate gradients stopped at relative residual "

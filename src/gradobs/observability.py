@@ -34,9 +34,7 @@ from .spectral import (
     Basis,
     Region,
     VectorFieldSamples,
-    axis_tables,
     grad_adjoint,
-    interval_rule,
     restrict,
     sub_basis,
 )
@@ -188,21 +186,23 @@ def response_kernel_matrix(
 
 def _region_overlap(test_basis: Basis, basis: Basis, region: Region,
                     gradients: bool) -> np.ndarray:
-    """sum_s int_omega t_s(xi_q) t_s(xi_j), t the value or, with gradients,
-    each d/dx_s: per rectangle 2**dim times a product over the axes of 1-D
-    overlaps on the axis rule, sin-sin or, on the differentiated axis, the
-    derivatives' cos-cos."""
+    """sum_s int_omega t_s(xi_q) t_s(xi_j), t the value or each d/dx_s: per
+    rectangle a product over the axes of sqrt(2) sin(j pi x) overlaps C(q-j) -
+    C(q+j), differentiated q j pi**2 (C(q-j) + C(q+j)), C(m) = int cos(m pi x)."""
     if not test_basis.dimension == basis.dimension == region.dimension:
         raise DomainError("test basis, basis and region differ in dimension")
-    top = max(test_basis.truncation, basis.truncation)
-    pairs = [np.ix_(q - 1, j - 1) for q, j in zip(test_basis.indices.T, basis.indices.T)]
+    q, j = np.ix_(*(np.arange(1, b.truncation + 1) for b in (test_basis, basis)))
+    pairs = [np.ix_(a - 1, b - 1) for a, b in zip(test_basis.indices.T, basis.indices.T)]
     total = 0.0
     for rect in region.rectangles:
-        one_d = [[((t * w) @ t.T)[pair] for t in axis_tables(np.arange(1, top + 1), x)]
-                 for pair, (x, w) in zip(pairs, (interval_rule(*iv, top) for iv in rect))]
+        one_d = []
+        for pair, (lo, hi) in zip(pairs, rect):
+            minus, plus = ((hi - lo) * np.cos(0.5 * np.pi * m * (hi + lo))
+                           * np.sinc(0.5 * m * (hi - lo)) for m in (q - j, q + j))
+            one_d.append(((minus - plus)[pair], (np.pi**2 * q * j * (minus + plus))[pair]))
         for s in range(basis.dimension) if gradients else [None]:  # d/dx_s
             total = total + math.prod(t[1 if a == s else 0] for a, t in enumerate(one_d))
-    return 2.0**basis.dimension * total
+    return total
 
 
 def overlap_matrix(test_basis: Basis, basis: Basis, region: Region) -> np.ndarray:

@@ -8,13 +8,13 @@ has coefficient sum_s int g_s * d(xi)/dx_s on a mode, the weak form of -div(g)
 with the zero Dirichlet boundary.
 
 Every quadrature in gradobs is the composite Gauss-Legendre rule
-`gauss_panels`; callers only choose its panel edges.  In space it has 8 nodes
-per panel and max(4, 2*max_index) panels per axis (`interval_rule`), which
-resolves the most oscillatory basis integrand with >= 4 nodes per half-wave.
-Each spatial rule is their tensor product per rectangle, and `axis_tables`
-is the one basis evaluator: couplings, overlaps, fields on tensor grids and
-`grad_adjoint` contract its per-axis sine and derivative tables axis by axis
-(`contract`), and `Mode` multiplies one row of each at scattered points.
+`gauss_panels`; callers choose its panel edges.  In space it integrates data
+(sensor distributions, sampled fields; basis overlaps are closed forms in
+`observability`) on 8 nodes per panel and max(4, 2*max_index) panels per
+axis (`interval_rule`), >= 4 per half-wave of the fastest sine, as tensor
+products per rectangle.  `axis_tables` is the one basis evaluator at nodes:
+couplings, tensor-grid fields and `grad_adjoint` contract its per-axis tables
+axis by axis (`contract`); `Mode` multiplies one row of each at points.
 """
 
 from __future__ import annotations

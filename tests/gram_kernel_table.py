@@ -27,7 +27,7 @@ import mpmath as mp
 
 DPS = 30
 ROWS = [(a, w) for a in ("0.6", "0.7", "0.8", "0.95") for w in ("none", "compensated")]
-ROWS.append(("0.4", "compensated"))
+ROWS += [("0.4", "compensated"), ("0.1", "compensated")]
 PAIRS = ((1, 1), (1, 2), (2, 3))
 
 

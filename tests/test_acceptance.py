@@ -300,6 +300,9 @@ def test_a5_reconstruction():
 
 # (alpha, weighting, j, k, V[j,k]) on (0, 1] with lambda_j = -(j pi)**2
 GRAM_KERNEL_TABLE = [
+    (0.1, "compensated", 1, 1, 1.0097648524062105e-6),
+    (0.1, "compensated", 1, 2, 7.3700839607149839e-8),
+    (0.1, "compensated", 2, 3, 1.0960432138524178e-9),
     (0.4, "compensated", 1, 1, 0.00022689011545862892),
     (0.4, "compensated", 1, 2, 3.3618389302122626e-5),
     (0.4, "compensated", 2, 3, 2.5091964063605576e-6),
@@ -336,6 +339,7 @@ GRAM_KERNEL_LAMBDAS = -PI2 * np.arange(1, 4) ** 2
 # rounded up to two digits; at 1e-12 the same rows are strict xfails
 # (test_a6_gram_kernel_to_1e12)
 GRAM_KERNEL_BOUNDS = {
+    (0.1, "compensated"): 1.3e-08,  # measured 1.260e-08
     (0.4, "compensated"): 3.0e-05,  # measured 2.925e-05
     (0.6, "none"): 2.9e-01,  # measured 2.873e-01
     (0.6, "compensated"): 8.7e-06,  # measured 8.696e-06

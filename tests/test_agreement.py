@@ -6,13 +6,16 @@ region at the test truncation Q.  Each suite draws 1-3 sensors of every kind
 the dimension allows (filaments are 2-D), at rational locations with small
 denominators or generic ones, on the whole domain or a strip: in 1-D with
 T = 12, Q = 6, in 2-D with T = 4, Q = 3.  Most suites run at alpha = 1, the
-exact response branch; every 40th at alpha = 0.8.
+exact response branch; every 40th at alpha = 0.8.  On the suites that
+reconstruct, a `simulate` CSV read back by `reconstruct --observations`
+gives the inline reconstruction's state coefficients exactly.
 
 The Gram time kernel at alpha = 1, from the exact branch exp(lambda t), and
 at alpha = 1 - delta, from the fractional branches (the gap band through
 its per-alpha table), differ by a first-order multiple of delta.
 """
 
+import itertools
 import json
 import math
 import warnings
@@ -27,6 +30,7 @@ from gradobs.presets import preset
 from gradobs.spectral import build_basis
 
 SUITES = 240
+ROUND_TRIPS = 12
 _FRACTIONS = [a / b for b in (2, 3, 4, 5, 6, 8) for a in range(1, b)
               if math.gcd(a, b) == 1]
 
@@ -113,6 +117,44 @@ def test_strategic_gram_and_reconstruct_agree_on_seeded_suites(tmp_path):
     assert disagreements == []
     # the draws reach both answers and deficient levels
     assert 0 < observable < SUITES and deficient > 0, (observable, deficient)
+
+
+def test_csv_round_trip_gives_the_inline_state_on_seeded_suites(tmp_path, capsys):
+    # simulate writes its CSV on reconstruct's time mesh, read back as
+    # written, so reconstruction from it gives the inline state coefficients
+    # exactly, noisy records too; the first ROUND_TRIPS suites in seed order
+    # whose reconstruct exits 0, every third seed with seeded noise
+    covered, noisy, trips = set(), 0, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        for seed in itertools.count():
+            if trips == ROUND_TRIPS:
+                break
+            config = _config(seed)
+            n = config["dimension"]
+            config["initial"] = {"type": "modes", "terms": [
+                {"indices": [1] * n, "value": 1.0},
+                {"indices": [2, 1][:n], "value": -0.5}]}
+            if seed % 3 == 0:
+                config["noise"] = {"sigma": 1e-3, "seed": seed}
+            path, out = tmp_path / f"{seed}.json", tmp_path / str(seed)
+            path.write_text(json.dumps(config))
+            run = lambda command, name, *extra: main(
+                [command, "--config", str(path), "--out", str(out / name), *extra])
+            if run("reconstruct", "inline") != 0:
+                continue
+            assert run("simulate", "sim") == 0, seed
+            assert run("reconstruct", "csv", "--observations",
+                       str(out / "sim" / "observations.csv")) == 0, seed
+            state = [json.loads((out / name / "report.json").read_text())
+                     ["payload"]["state_coefficients"] for name in ("csv", "inline")]
+            assert state[0] == state[1], seed
+            covered |= {(n, sensor["kind"]) for sensor in config["sensors"]}
+            noisy += "noise" in config
+            trips += 1
+    assert covered == {(1, "pointwise"), (1, "zone"), (2, "pointwise"), (2, "zone"),
+                       (2, "filament")}, covered
+    assert 0 < noisy < trips
 
 
 @pytest.mark.parametrize("location,verdict,offending", [

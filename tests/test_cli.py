@@ -179,7 +179,7 @@ def test_every_order_down_to_alpha_001_runs(tmp_path, capsys, name, alpha, comma
     payload = json.loads((tmp_path / "report.json").read_text())["payload"]
     if code == 4:
         assert command == "reconstruct"
-        assert payload["rank"] < len(payload["potential_coefficients"])
+        assert payload["rank"] < payload["size"]
         assert f"Lambda has rank {payload['rank']} of" in err
     else:
         assert code == 0, err
@@ -622,8 +622,9 @@ def test_reconstruct_refuses_exactly_where_gram_is_singular(gram_and_reconstruct
         assert strategic_code == 0, name
         assert strategic["verdict"] == gram["positive_definite"], name
         assert code == (0 if gram["positive_definite"] else 4), name
-        full = len(reconstruct["potential_coefficients"])
-        assert (reconstruct["rank"] == full) == gram["positive_definite"], name
+        assert reconstruct["size"] == len(gram["eigenvalues"]), name
+        assert (reconstruct["rank"] == reconstruct["size"]) == \
+            gram["positive_definite"], name
         if code == 4:
             refused.append(name)
     assert sorted(refused) == ["case1-zone", "case2-pointwise", "case3-filament",
@@ -662,6 +663,30 @@ def test_gram_command_writes_spectrum(tmp_path, capsys):
     payload = json.loads((tmp_path / "report.json").read_text())["payload"]
     assert payload["smallest_eigenvalue"] == 0.0
     assert payload["rank"] == 0
+
+
+def test_refused_reconstruct_writes_only_its_report(tmp_path, capsys):
+    # a rank-deficient Lambda is refused before the solve: no gradient of
+    # rounding noise is written, and the report says why
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        code = main(["reconstruct", "--preset", "case1-zone", "--out", str(tmp_path)])
+    assert code == 4
+    assert "Lambda has rank 7 of 16" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    payload = json.loads((tmp_path / "report.json").read_text())["payload"]
+    assert sorted(payload) == ["rank", "regularization", "size",
+                               "smallest_eigenvalue"]
+    assert (payload["rank"], payload["size"], payload["regularization"]) == (7, 16, 0.0)
+    # the inputs are read first: a missing observations file is still a
+    # config error, whatever Lambda's rank
+    out = tmp_path / "from-csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        code = main(["reconstruct", "--preset", "case1-zone", "--out", str(out),
+                     "--observations", str(tmp_path / "missing.csv")])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_out_env_variable_is_honored(tmp_path, capsys, monkeypatch):
