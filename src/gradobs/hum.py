@@ -110,9 +110,9 @@ class HumContext:
         self.d_matrix = grad_overlap_matrix(self.potential_basis, basis, region)
         self.kappa = coupling_matrix(suite, basis)
         self.grid = time_grid(self.alpha, self.horizon)
-        self.time_nodes, self.quad_weights = self.grid.nodes, self.grid.weights
-        self.weight_values = time_weight(self.alpha, self.time_nodes, weighting)
-        self.response = response_matrix(self.alpha, basis.eigenvalues, self.time_nodes)
+        self.quad_weights = self.grid.weights
+        self.weight_values = time_weight(self.alpha, self.grid.nodes, weighting)
+        self.response = response_matrix(self.alpha, basis.eigenvalues, self.grid.nodes)
         self.root_weights = np.sqrt(self.quad_weights * self.weight_values)
         forward = np.stack([(self.forward_channels(e) * self.root_weights).ravel()
                             for e in np.eye(self.size)], axis=1)
@@ -157,9 +157,9 @@ class HumResult:
     regularization: float
 
 
-def apply_lambda(a: PotentialVector | np.ndarray, context: HumContext) -> np.ndarray:
+def apply_lambda(a: np.ndarray, context: HumContext) -> np.ndarray:
     """Gram-weighted image Lambda a = V S^2 V^T a, from the context's SVD."""
-    a = a.coefficients if isinstance(a, PotentialVector) else np.asarray(a, float)
+    a = np.asarray(a, float)
     if a.shape != (context.size,):
         raise DomainError(f"expected {context.size} coefficients, got {a.shape}")
     vt = context.right_vectors
@@ -181,7 +181,7 @@ def _channels_on_mesh(record: ObservationRecord, context: HumContext) -> np.ndar
             f"{len(context.suite)}"
         )
     nodes = record.grid.nodes
-    mesh = context.time_nodes
+    mesh = context.grid.nodes
     if nodes.size == mesh.size and np.allclose(nodes, mesh, rtol=0.0, atol=1e-14):
         return record.channels
     if nodes.size < mesh.size:

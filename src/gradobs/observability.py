@@ -1,17 +1,18 @@
-"""Strategic-sensor level ranks and the regional gradient observability Gramian.
+"""Strategic-sensor level ranks and the regional observability Gramians.
 
 `level_ranks` is the one rank count of coupling blocks: a level (one exact
 eigenvalue, multiplicity r_j) is full when its p x r_j block has rank r_j.
-The *gradient-basis* Gramian pulls a gradient field supported on omega back
-through the adjoint gradient, propagates and observes it: its kernel holds
-the unobservable directions (the filament counterexample), HUM inverts it,
-and its `numerical_rank` is the verdict of `gram`, `strategic` and
-`reconstruct`.  On the whole domain it is D (V o kappa^T kappa) D^T with D
-diagonal, so a deficient level of value couplings kappa makes it singular.
-The *component-basis* Gramian (test family p_omega(xi_q e_s)) asks that
-every vector field be seen; no command reaches it.  Both read one response
-kernel V[j,k] = int_0^b w(s) resp_j(s) resp_k(s) ds with resp_j(s) =
-s**(alpha-1) E_{alpha,alpha}(lambda_j s**alpha).
+Each Gramian is the S x S block matrix O (V o C_a^T C_b) O^T of one response
+kernel V[j,k] = int_0^b w(s) resp_j(s) resp_k(s) ds, resp_j(s) =
+s**(alpha-1) E_{alpha,alpha}(lambda_j s**alpha); the test family picks
+(O, C).  The *gradient* Gramian (p_omega grad(xi_q), S = 1) takes the
+gradient overlaps D and the value couplings kappa: its kernel holds the
+unobservable directions (the filament counterexample), HUM inverts it, and
+its `numerical_rank` is the verdict of `gram`, `strategic` and
+`reconstruct`; on the whole domain D is diagonal, so a deficient level of
+kappa makes it singular.  The *component* Gramian (p_omega(xi_q e_s),
+S = n) takes the value overlaps R and the per-axis gradient couplings G_s;
+it asks that every vector field be seen, and no command reaches it.
 """
 
 from __future__ import annotations
@@ -251,29 +252,18 @@ def gram_regional(
     weighting: str = "none",
     kind: str = COMPONENT,
 ) -> GramReport:
-    """Observability Gramian on omega at the given test truncation.
-
-    kind=COMPONENT uses the test family p_omega(xi_q e_s) (size n*Q, block
-    order: axis-major) and the gradient couplings; kind=GRADIENT uses
-    p_omega grad(xi_q) (size Q) and the forward output map.
-    """
-    if kind not in (COMPONENT, GRADIENT):
-        raise DomainError(f"unknown Gramian kind {kind!r}")
+    """Observability Gramian on omega at test truncation Q, blocks axis-major:
+    (O, C) = (D, [kappa]) for kind=GRADIENT (size Q) and (R, [G_0 .. G_n-1])
+    for kind=COMPONENT (size n*Q), the block formula of the module."""
     test_basis = sub_basis(basis, truncation)
-    v = response_kernel_matrix(alpha, basis.eigenvalues, b, weighting)
-    test_modes = [m.indices for m in test_basis.modes]
     if kind == GRADIENT:
-        d = grad_overlap_matrix(test_basis, basis, region)
-        kappa = coupling_matrix(suite, basis)
-        mmat = v * (kappa.T @ kappa)
-        return _spectrum_report(kind, d @ mmat @ d.T, test_modes)
-    r = overlap_matrix(test_basis, basis, region)
-    n = basis.dimension
-    q = len(test_basis)
-    grads = coupling_tables(suite, basis.indices, gradients=True)
-    gram = np.zeros((n * q, n * q))
-    for i in range(len(suite)):
-        rows = np.vstack([r * g[i][None, :] for g in grads])
-        gram += rows @ v @ rows.T
-    return _spectrum_report(COMPONENT, gram, test_modes)
-
+        o = grad_overlap_matrix(test_basis, basis, region)
+        c = [coupling_matrix(suite, basis)]
+    elif kind == COMPONENT:
+        o = overlap_matrix(test_basis, basis, region)
+        c = coupling_tables(suite, basis.indices, gradients=True)
+    else:
+        raise DomainError(f"unknown Gramian kind {kind!r}")
+    v = response_kernel_matrix(alpha, basis.eigenvalues, b, weighting)
+    gram = np.block([[o @ (v * (ca.T @ cb)) @ o.T for cb in c] for ca in c])
+    return _spectrum_report(kind, gram, [m.indices for m in test_basis.modes])

@@ -53,6 +53,15 @@ class BilinearTable:
         return ((1 - t) * (1 - u) * vals[i, j] + t * (1 - u) * vals[i + 1, j]
                 + (1 - t) * u * vals[i, j + 1] + t * u * vals[i + 1, j + 1])
 
+    def check_spans(self, rect) -> None:
+        """Raise DomainError unless x1 and x2 span rect, (lo, hi) per axis: outside
+        its axes the table would extrapolate."""
+        for name, x, (lo, hi) in zip(("x1", "x2"), (self.x1, self.x2), rect):
+            first, last = float(x[0]), float(x[-1])
+            if not (first <= lo and hi <= last):
+                raise DomainError(f"table {name} = [{first:g}, {last:g}] does not span "
+                                  f"the sensor's [{lo:g}, {hi:g}]")
+
 
 @dataclass(frozen=True)
 class Filament:
@@ -99,6 +108,15 @@ class Sensor:
                 raise DomainError("filament sensor needs a distribution")
         else:
             raise DomainError(f"unknown sensor kind {self.kind!r}")
+        if isinstance(self.distribution, BilinearTable) and self.kind != POINTWISE:
+            if self.kind == ZONE:
+                rects = self.geometry.rectangles
+            else:
+                fil = self.geometry
+                span = [fil.interval, (fil.fixed, fil.fixed)]
+                rects = [span[::-1] if fil.axis else span]
+            for rect in rects:
+                self.distribution.check_spans(rect)
 
 
 @dataclass(frozen=True)

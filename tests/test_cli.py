@@ -248,6 +248,12 @@ def _set(config, path, value):
 
 _FILAMENT = {"kind": "filament", "axis": 0, "interval": [0.1, 0.5, 0.9],
              "fixed": 0.5, "distribution": {"type": "constant", "value": 1.0}}
+_HALF_TABLE = {"type": "table", "x1": [0.0, 0.5], "x2": [0.0, 0.5],
+               "values": [[1.0, 2.0], [3.0, 4.0]]}
+_UNCOVERED_ZONE = {"kind": "zone", "rect": [[0.2, 0.7], [0.3, 0.8]],
+                   "distribution": _HALF_TABLE}
+_UNCOVERED_FILAMENT = {"kind": "filament", "axis": 0, "interval": [0.1, 0.4],
+                       "fixed": 0.6, "distribution": _HALF_TABLE}
 
 
 @pytest.mark.parametrize(
@@ -289,6 +295,9 @@ _FILAMENT = {"kind": "filament", "axis": 0, "interval": [0.1, 0.5, 0.9],
         ("simulate", ("truncation",), 101, "config.truncation: truncation 101"),
         # a removed key: every command reads the gradient Gramian
         ("gram", ("gram_kind",), "component", "unknown field(s) 'gram_kind'"),
+        # a table that does not span its zone or filament would extrapolate
+        ("gram", ("sensors", 0), _UNCOVERED_ZONE, "config.sensors[0]: table x1"),
+        ("gram", ("sensors", 0), _UNCOVERED_FILAMENT, "config.sensors[0]: table x2"),
     ],
 )
 def test_config_mistakes_exit_2(tmp_path, capsys, command, path, value, field):

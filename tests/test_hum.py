@@ -164,7 +164,7 @@ def test_reconstruction_error_reference_cases():
 def test_zero_data_yields_zero_potential():
     ctx = _context(2)
     record = ObservationRecord(
-        ctx.time_grid(), np.zeros((3, ctx.time_nodes.size))
+        ctx.time_grid(), np.zeros((3, ctx.time_grid().nodes.size))
     )
     result = solve(record, HumConfig(), ctx)
     assert result.converged
@@ -210,7 +210,7 @@ def test_off_mesh_record_keeps_the_on_mesh_reconstruction():
     edges = np.linspace(0.0, 1.0, 33) ** grading_exponent(0.8)
     off_mesh = simulate(y0, ctx.suite, 0.8, TimeGrid(1.0, *gauss_panels(edges)))
     on_mesh = simulate(y0, ctx.suite, 0.8, ctx.time_grid())
-    assert not np.array_equal(off_mesh.grid.nodes, ctx.time_nodes)
+    assert not np.array_equal(off_mesh.grid.nodes, ctx.time_grid().nodes)
     config = HumConfig(cg_tolerance=1e-13, max_iterations=500)
     got, want = (ctx.d_matrix.T @ solve(record, config, ctx).potential.coefficients
                  for record in (off_mesh, on_mesh))
@@ -243,7 +243,7 @@ def test_validation_errors():
     ctx = _context(2)
     with pytest.raises(DomainError):
         apply_lambda(np.ones(ctx.size + 1), ctx)
-    bad = ObservationRecord(ctx.time_grid(), np.zeros((2, ctx.time_nodes.size)))
+    bad = ObservationRecord(ctx.time_grid(), np.zeros((2, ctx.time_grid().nodes.size)))
     with pytest.raises(DomainError):
         rhs_from_data(bad, ctx)
     with pytest.raises(DomainError):
@@ -460,7 +460,7 @@ def test_more_potentials_than_outputs_report_eps():
     basis = build_basis(1, 260)
     suite = SensorSuite((Sensor(POINTWISE, (1.0 / math.pi,)),))
     ctx = HumContext(basis, suite, 1.0, 1.0, whole_domain(1), truncation=260)
-    assert ctx.time_nodes.size * len(suite) < ctx.size
+    assert ctx.time_grid().nodes.size * len(suite) < ctx.size
     assert ctx.smallest_eigenvalue == 0.0
     record = simulate(_state(basis, [((1,), 1.0)]), suite, 1.0, ctx.time_grid())
     result = solve(record, HumConfig(max_iterations=3, regularization=1e-3), ctx)

@@ -189,20 +189,32 @@ def test_gradient_couplings_match_per_element_assembly():
             expected = [[g[s, basis.index_of(mode.indices)] for mode in group.members]
                         for g in alone]
             assert np.array_equal(m, np.array(expected))
-    # component Gramian: sum over sensors of rows V rows^T, with row block s
-    # the overlaps R scaled by the sensor's axis-s gradient couplings
+    # component Gramian against the independent sum over sensors of
+    # rows V rows^T, with row block s the overlaps R scaled by the sensor's
+    # axis-s gradient couplings: the blocks R (V o G_a^T G_b) R^T associate
+    # the sum differently, 4.9e-16 of the largest entry
     region = Region((((0.0, 1.0), (0.0, 0.5)),))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         report = gram_regional(basis, suite, 0.7, 1.0, region, truncation=3,
                                kind=COMPONENT)
-    r = overlap_matrix(build_basis(2, 3), basis, region)
+        gradient = gram_regional(basis, suite, 0.7, 1.0, region, truncation=3,
+                                 kind=GRADIENT)
+    test_basis = build_basis(2, 3)
+    r = overlap_matrix(test_basis, basis, region)
     v = response_kernel_matrix(0.7, basis.eigenvalues, 1.0, "none")
     gram = np.zeros((2 * len(r), 2 * len(r)))
     for g in alone:
         rows = np.vstack([r * g[s] for s in range(2)])
         gram += rows @ v @ rows.T
-    assert np.array_equal(report.matrix, 0.5 * (gram + gram.T))
+    gram = 0.5 * (gram + gram.T)
+    assert np.max(np.abs(report.matrix - gram)) <= 2e-15 * np.max(np.abs(gram))
+    # the gradient Gramian keeps every bit of D (V o kappa^T kappa) D^T, the
+    # association `gram`, `strategic` and `reconstruct` report
+    d = grad_overlap_matrix(test_basis, basis, region)
+    kappa = coupling_matrix(suite, basis)
+    expected = d @ (v * (kappa.T @ kappa)) @ d.T
+    assert np.array_equal(gradient.matrix, 0.5 * (expected + expected.T))
 
 
 def test_component_gram_diagonalizes_at_full_domain():

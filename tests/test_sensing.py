@@ -181,6 +181,30 @@ def test_sensor_validation():
         SensorSuite(())
 
 
+def test_table_distribution_must_span_its_sensor():
+    # outside its axes a table extrapolates: on [0, 0.5]^2 with values
+    # [[1, 2], [3, 4]] it reads 7 at (1, 1), far from every tabulated value
+    half = np.array([0.0, 0.5])
+    table = BilinearTable(half, half, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert table(np.array([[1.0, 1.0]]))[0] == pytest.approx(7.0)
+    for geometry in [
+        Region((((0.2, 0.7), (0.3, 0.8)),)),
+        Region((((0.1, 0.4), (0.1, 0.4)), ((0.1, 0.4), (0.45, 0.6)))),
+        Filament(axis=0, interval=(0.1, 0.6), fixed=0.3),
+        Filament(axis=1, interval=(0.1, 0.4), fixed=0.6),  # x1 = 0.6 outside
+    ]:
+        kind = ZONE if isinstance(geometry, Region) else FILAMENT
+        with pytest.raises(DomainError, match="does not span"):
+            Sensor(kind, geometry, table)
+    # spanning to the last node, a filament's fixed coordinate included
+    for kind, geometry in [
+        (ZONE, Region((((0.0, 0.5), (0.1, 0.5)),))),
+        (FILAMENT, Filament(axis=0, interval=(0.1, 0.5), fixed=0.5)),
+        (FILAMENT, Filament(axis=1, interval=(0.0, 0.4), fixed=0.2)),
+    ]:
+        Sensor(kind, geometry, table)
+
+
 def test_grad_coupling_rejects_bad_axis():
     basis = build_basis(1, 2)
     sensor = Sensor(POINTWISE, (0.4,))
