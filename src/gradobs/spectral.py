@@ -9,7 +9,7 @@ with the zero Dirichlet boundary.
 
 Every quadrature in gradobs is the composite Gauss-Legendre rule
 `gauss_panels`; callers choose its panel edges.  In space it integrates data
-(sensor distributions, sampled fields; basis overlaps are closed forms in
+(sensors, HUM's sampled result; basis overlaps and norms are closed forms in
 `observability`) on 8 nodes per panel and max(4, 2*max_index) panels per
 axis (`interval_rule`), >= 4 per half-wave of the fastest sine, as tensor
 products per rectangle.  `axis_tables` is the one basis evaluator at nodes:
@@ -278,24 +278,29 @@ class SpectralField:
             )
         object.__setattr__(self, "coefficients", coeffs)
 
+    def dense(self) -> np.ndarray:
+        """The coefficients as a dense (T, ..., T) array, entry j - 1 on mode j."""
+        dense = np.zeros((self.basis.truncation,) * self.basis.dimension)
+        dense[tuple(self.basis.indices.T - 1)] = self.coefficients
+        return dense
+
     def grid_gradient(self, axes: list) -> np.ndarray:
         """Every d/dx_s (dim, n_1, ..., n_dim) on the tensor grid of the
-        per-axis nodes: the coefficients as a dense (T, ..., T) array,
-        contracted with the sine tables, the derivative table on axis s."""
+        per-axis nodes: the `dense` coefficients contracted with the sine
+        tables, the derivative table on axis s."""
         dim, top = self.basis.dimension, self.basis.truncation
         if len(axes) != dim:
             raise DomainError(f"{len(axes)}-D grid given for a {dim}-D field")
-        dense = np.zeros((top,) * dim)
-        dense[tuple(self.basis.indices.T - 1)] = self.coefficients
         tables = [[t.T for t in axis_tables(np.arange(1, top + 1), np.asarray(x, float))]
                   for x in axes]  # (n_a, T): the sums run over the mode index
+        dense = self.dense()
         return math.sqrt(2.0) ** dim * np.stack(
             [contract(dense, tables, s) for s in range(dim)])
 
 
 @dataclass(frozen=True)
 class VectorFieldSamples:
-    """Vector field sampled on a region quadrature grid (one array per axis)."""
+    """Vector field on a region quadrature grid, one array per axis (HUM's result)."""
 
     grid: QuadratureGrid
     components: np.ndarray  # (dim, N)
@@ -317,13 +322,6 @@ class VectorFieldSamples:
         )
 
 
-def sample_vector_field(func, region: Region, max_index: int) -> VectorFieldSamples:
-    """Sample a callable (N,dim)->(N,dim) vector field on a region quadrature."""
-    grid = region_quadrature(region, max_index)
-    values = np.asarray(func(grid.points), dtype=float)
-    return VectorFieldSamples(grid, values.T)
-
-
 def grad_adjoint(g: VectorFieldSamples, basis: Basis) -> SpectralField:
     """Adjoint gradient (minus divergence with Dirichlet boundary).
 
@@ -343,13 +341,6 @@ def grad_adjoint(g: VectorFieldSamples, basis: Basis) -> SpectralField:
             total = total + contract(block, tables, s)
     coeffs = math.sqrt(2.0) ** basis.dimension * total[tuple(basis.indices.T - 1)]
     return SpectralField(basis, coeffs)
-
-
-def restrict(g: VectorFieldSamples, region: Region) -> VectorFieldSamples:
-    """Mask samples to the region (p_omega); zero-extension is its adjoint."""
-    mask = region.contains(g.grid.points)
-    comps = np.where(mask[None, :], g.components, 0.0)
-    return VectorFieldSamples(g.grid, comps)
 
 
 def restrict_gradient(field: SpectralField, region: Region) -> VectorFieldSamples:

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from gradobs.cli import Experiment, main as cli_main
+from gradobs.cli import Experiment, _counterexample_state, main as cli_main
 from gradobs.dynamics import TimeGrid, simulate
 from gradobs.hum import (
     HumConfig,
@@ -48,9 +48,7 @@ from gradobs.spectral import (
     SpectralField,
     build_basis,
     grad_adjoint,
-    restrict,
     restrict_gradient,
-    sample_vector_field,
     whole_domain,
 )
 
@@ -85,10 +83,11 @@ def _stated_time_grid(points=20):
     return TimeGrid(1.0, nodes, weights)
 
 
-def _counterexample_field(pts):
-    g1 = np.cos(np.pi * pts[:, 0]) * np.sin(3 * np.pi * pts[:, 1]) / np.pi
-    g2 = 3 * np.sin(np.pi * pts[:, 0]) * np.cos(3 * np.pi * pts[:, 1]) / np.pi
-    return np.stack([g1, g2], axis=1)
+def _psi(basis):
+    """psi = sin(pi x) sin(3 pi y) / pi**2 = xi_(1,3) / (2 pi**2) on the basis."""
+    coefficients = np.zeros(len(basis))
+    coefficients[basis.index_of((1, 3))] = 1.0 / (2.0 * PI2)
+    return SpectralField(basis, coefficients)
 
 
 def test_a1_special_function_foundations():
@@ -136,12 +135,20 @@ def test_a2_invisible_gradient_and_regional_response():
     basis = build_basis(2, 6)
     suite = Experiment(preset("counterexample")).suite
     kappa = coupling_matrix(suite, basis)
-    g = sample_vector_field(_counterexample_field, whole_domain(2), 6)
     strip = Region((((0.0, 1.0), (0.0, 1.0 / 6.0)),))
+    # the command's closed-form states against the sampled pullback of
+    # p_omega grad(psi), their independent reference
+    whole_state, strip_state = (_counterexample_state(basis, region)
+                                for region in (whole_domain(2), strip))
+    for region, state in [(whole_domain(2), whole_state), (strip, strip_state)]:
+        sampled = grad_adjoint(restrict_gradient(_psi(basis), region), basis).coefficients
+        dev = float(np.max(np.abs(state.coefficients - sampled)) / np.max(np.abs(sampled)))
+        checks.append((f"{region.measure:.3g}-measure state vs pullback ({dev:.1e})",
+                       dev <= 1e-14))
     grid = _stated_time_grid()
     amplitude = 5.0 * math.sqrt(3.0) / (8.0 * math.pi)
     for alpha in (0.5, 0.8, 1.0):
-        state = grad_adjoint(restrict(g, whole_domain(2)), basis)
+        state = whole_state
         record = simulate(state, suite, alpha, grid)
         eigs = np.array([m.eigenvalue for m in basis.modes])
         resp = np.stack(
@@ -158,7 +165,7 @@ def test_a2_invisible_gradient_and_regional_response():
         checks.append(
             (f"alpha={alpha} zero output ({sup:.1e})", sup <= 1e-12 * max(1.0, bound))
         )
-        strip_record = simulate(grad_adjoint(restrict(g, strip), basis), suite, alpha, grid)
+        strip_record = simulate(strip_state, suite, alpha, grid)
         predicted = amplitude * grid.nodes ** (alpha - 1.0) * np.array(
             [mlf(alpha, alpha, -2.0 * PI2 * t**alpha) for t in grid.nodes]
         )

@@ -21,7 +21,8 @@ from gradobs.observability import ConditioningWarning
 from gradobs.presets import preset, preset_names
 from gradobs.sensing import (BilinearTable, Sensor, SensorSuite, ZONE,
                              coupling_matrix)
-from gradobs.spectral import Region, SpectralField, build_basis
+from gradobs.spectral import (Region, SpectralField, build_basis, grad_adjoint,
+                              restrict_gradient, whole_domain)
 
 
 def _read(path):
@@ -571,6 +572,33 @@ def test_counterexample_command(tmp_path, capsys):
     assert payload["whole_domain_in_kernel"] is True
     assert payload["strip_in_kernel"] is False
     assert payload["strip_closed_form_relative_error"] < 1e-8
+
+
+def test_counterexample_at_truncation_2_meets_the_strip_closed_form(tmp_path, capsys):
+    # psi is mode (1,3): a state sampled on a rule that resolves indices up
+    # to the truncation read 9.8e-3; the closed-form row reads 1.2e-16
+    config = preset("counterexample")
+    config["truncation"] = 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["counterexample", "--config", str(path), "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "report.json").read_text())["payload"]
+    assert payload["whole_domain_in_kernel"] is True
+    assert payload["strip_closed_form_relative_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("truncation", [3, 6])
+def test_counterexample_state_is_the_pulled_back_psi_gradient(truncation):
+    # the (1,3) row of the gradient overlaps over 2 pi^2 against the sampled
+    # pullback grad_adjoint(p_omega grad(psi)), psi = xi_(1,3) / (2 pi^2)
+    basis = build_basis(2, truncation)
+    psi = np.zeros(len(basis))
+    psi[basis.index_of((1, 3))] = 1.0 / (2.0 * np.pi**2)
+    for region in (whole_domain(2), Region((((0.0, 1.0), (0.0, 1.0 / 6.0)),))):
+        state = cli_module._counterexample_state(basis, region).coefficients
+        sampled = grad_adjoint(restrict_gradient(SpectralField(basis, psi), region),
+                               basis).coefficients
+        assert np.max(np.abs(state - sampled)) <= 1e-14 * np.max(np.abs(sampled))
 
 
 def test_counterexample_on_another_sensor_suite_is_a_config_error(tmp_path, capsys):

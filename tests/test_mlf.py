@@ -378,6 +378,31 @@ def test_asymptotic_branch_next_to_integer_order(alpha, rel):
         ), x
 
 
+# (alpha, peak nats, z = -(nats**alpha), E_{alpha,alpha}(z)) above the
+# asymptotic seam at small alpha, frozen from `mlf_gap_table.gap_value`
+# (mpmath power series; a sum 15 digits finer agreed to 30 digits)
+SMALL_ALPHA_ASYMPTOTIC = [
+    (0.01, 34.5, -1.036043978515017, 0.0024121012891816323681),
+    (0.01, 36.0, -1.0364850086811943, 0.0024110536891268678463),
+    (0.01, 40.0, -1.0375776301257758, 0.0024084612709145127444),
+    (0.01, 50.0, -1.0398955028272279, 0.0024029755731241111835),
+    (0.02, 34.5, -1.0733871254172251, 0.0046510229590185956561),
+    (0.02, 36.0, -1.0743011732208552, 0.0046469020187957886065),
+    (0.02, 40.0, -1.076567338537421, 0.0046367087095982314509),
+    (0.02, 50.0, -1.0813826568002933, 0.0046151602304619118291),
+]
+
+
+@pytest.mark.parametrize("alpha,peak_nats,z,expected", SMALL_ALPHA_ASYMPTOTIC)
+def test_asymptotic_branch_reaches_its_smallest_term_at_small_alpha(
+        alpha, peak_nats, z, expected):
+    # the smallest term sits near k = 34 / alpha at the seam; a 400-term cap
+    # stopped the sum before it, 1.7e-5 relative error at (0.01, 34.5 nats)
+    # and 2.0e-8 at (0.02, 34.5 nats)
+    assert z == _at_peak_nats(alpha, peak_nats)
+    assert mlf(alpha, alpha, z) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+
 @pytest.mark.parametrize("alpha", [1.0 - 1e-12, 1.0 - 1e-7])
 def test_asymptotic_coefficients_from_the_exact_pole_offset(alpha):
     # with beta = alpha the k-th coefficient -1/Gamma(alpha - alpha k) sits

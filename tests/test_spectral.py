@@ -17,12 +17,17 @@ from gradobs.spectral import (
     gauss_panels,
     grad_adjoint,
     region_quadrature,
-    restrict,
     restrict_gradient,
-    sample_vector_field,
     sub_basis,
     whole_domain,
 )
+
+
+def _psi(basis):
+    """psi = sin(pi x) sin(3 pi y) / pi^2 = xi_{(1,3)} / (2 pi^2) on the basis."""
+    coefficients = np.zeros(len(basis))
+    coefficients[basis.index_of((1, 3))] = 1.0 / (2.0 * math.pi**2)
+    return SpectralField(basis, coefficients)
 
 
 def test_build_basis_validation():
@@ -158,7 +163,7 @@ def test_basis_tables_reject_point_dimension():
         SpectralField(build_basis(1, 3), np.ones(3)).grid_gradient([np.ones(4)] * 2)
     with pytest.raises(DomainError):
         SpectralField(build_basis(2, 3), np.ones(9)).grid_gradient([np.ones(4)])
-    samples = sample_vector_field(lambda pts: pts, whole_domain(2), 3)
+    samples = restrict_gradient(_psi(build_basis(2, 3)), whole_domain(2))
     with pytest.raises(DomainError):
         grad_adjoint(samples, build_basis(1, 3))
 
@@ -176,13 +181,7 @@ def test_grad_adjoint_recovers_eigenfunction_gradient():
     # g = grad(xi_{(1,3)}) / (2 pi^2): the pullback coefficient on (1,3) is
     # |lambda_{(1,3)}| / (2 pi^2) = 10 pi^2 / (2 pi^2) = 5, all others vanish.
     basis = build_basis(2, 4)
-
-    def g(pts):
-        g1 = np.cos(np.pi * pts[:, 0]) * np.sin(3 * np.pi * pts[:, 1]) / np.pi
-        g2 = 3 * np.sin(np.pi * pts[:, 0]) * np.cos(3 * np.pi * pts[:, 1]) / np.pi
-        return np.stack([g1, g2], axis=1)
-
-    samples = sample_vector_field(g, whole_domain(2), 4)
+    samples = restrict_gradient(_psi(basis), whole_domain(2))
     state = grad_adjoint(samples, basis)
     target = basis.index_of((1, 3))
     for j, c in enumerate(state.coefficients):
@@ -246,17 +245,6 @@ def test_spectral_field_validation():
         SpectralField(basis, np.ones(4))
     with pytest.raises(DomainError):
         basis.index_of((7,))
-
-
-def test_restrict_masks_outside_region():
-    basis = build_basis(1, 3)
-    field = SpectralField(basis, np.array([1.0, 0.0, -0.5]))
-    g = restrict_gradient(field, whole_domain(1))
-    region = Region((((0.0, 0.5),),))
-    masked = restrict(g, region)
-    inside = region.contains(g.grid.points)
-    assert np.all(masked.components[:, ~inside] == 0.0)
-    assert np.all(masked.components[:, inside] == g.components[:, inside])
 
 
 def test_restrict_gradient_matches_mode_gradients():
