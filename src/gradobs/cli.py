@@ -47,7 +47,14 @@ from .sensing import (
     ZONE,
     coupling_matrix,
 )
-from .spectral import Basis, Region, SpectralField, build_basis, sub_basis, whole_domain
+from .spectral import (
+    Basis,
+    Region,
+    SpectralField,
+    build_basis,
+    sub_basis,
+    whole_domain,
+)
 from .dynamics import (
     ObservationRecord,
     TimeGrid,
@@ -66,7 +73,6 @@ from .observability import (
     kernel_test,
     level_ranks,
     numerical_rank,
-    regional_gradient_norm,
 )
 from .hum import HumConfig, HumContext, solve
 
@@ -548,6 +554,11 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
     result = solve(record, experiment.hum, context)
     state_coefficients = context.d_matrix.T @ result.potential.coefficients
     state = SpectralField(experiment.basis, state_coefficients)
+    d = grad_overlap_matrix(experiment.basis, experiment.basis, experiment.region)
+
+    def norm(c):  # ||p_omega grad u|| = sqrt(c^T D c); rounding may leave it < 0
+        return math.sqrt(max(float(c @ d @ c), 0.0))
+
     _write(out_dir, "gradient.csv", _gradient_csv(state, experiment.region))
     payload.update({
         "potential_coefficients": result.potential.coefficients,
@@ -555,11 +566,11 @@ def cmd_reconstruct(experiment: Experiment, out_dir: str, observations: str | No
         "iterations": result.iterations,
         "residual": result.residual,
         "converged": result.converged,
-        "gradient_norm": regional_gradient_norm(state, experiment.region),
+        "gradient_norm": norm(state_coefficients),
     })
     if truth is not None:
-        error, reference = (regional_gradient_norm(f, experiment.region) for f in (
-            SpectralField(experiment.basis, state_coefficients - truth.coefficients), truth))
+        error = norm(state_coefficients - truth.coefficients)
+        reference = norm(truth.coefficients)
         # absolute where the truth's gradient vanishes on omega
         payload["relative_error"] = error / reference if reference > 0.0 else error
         _write(out_dir, "gradient_true.csv", _gradient_csv(truth, experiment.region))
@@ -580,14 +591,18 @@ def cmd_counterexample(experiment: Experiment, out_dir: str) -> int:
                           "the counterexample's filament (axis 1 on [0, 1] at "
                           "0.5, sine freq [0, 1])")
     strip = Region((((0.0, 1.0), (0.0, 1.0 / 6.0)),))
-    states = tuple(_counterexample_state(experiment.basis, r) for r in (whole_domain(2), strip))
+    states = tuple(_counterexample_state(experiment.basis, region)
+                   for region in (whole_domain(2), strip))
     grid = time_grid(experiment.alpha, experiment.horizon)
     whole, strip_report = kernel_test(states, experiment.suite, experiment.alpha, grid)
     # Closed-form strip response on the eigenvalue -2 pi^2 mode.
-    predicted = 5.0 * math.sqrt(3.0) / (8.0 * math.pi) * response_matrix(
-        experiment.alpha, [-2.0 * math.pi**2], grid.nodes)[0]
-    rel = float(np.max(np.abs(strip_report.channels[0] - predicted))
-                / np.max(np.abs(predicted)))
+    amplitude = 5.0 * math.sqrt(3.0) / (8.0 * math.pi)
+    predicted = amplitude * response_matrix(
+        experiment.alpha, [-2.0 * math.pi**2], grid.nodes
+    )[0]
+    rel = float(np.max(
+        np.abs(strip_report.channels[0] - predicted) / np.max(np.abs(predicted))
+    ))
     payload = {
         "whole_domain_in_kernel": whole.in_kernel,
         "whole_domain_sup_norm": whole.sup_norm,

@@ -61,7 +61,8 @@ SERIES_SAFE_NATS = 9.0
 ASYMPTOTIC_SAFE_NATS = 34.0
 # the asymptotic sum stops at its smallest term, near k = 34 / alpha at the
 # seam: 400 terms cut it short below alpha ~ 0.12 (1.7e-5 relative error at
-# alpha = 0.01, the smallest order pinned to run); ceil(34 / 0.01) = 3400
+# alpha = 0.01, the smallest order pinned to run); ceil(34 / 0.01) = 3400.
+# Where the cap still binds before that term, `_mlf_asymptotic` raises
 ASYMPTOTIC_TERMS = 4000
 SERIES_CAP = 4000
 THETA_MIN = 0.05
@@ -341,7 +342,7 @@ def _mlf_asymptotic(alpha: float, beta: float, z: float) -> float:
     terms = _terms(alpha, beta)[1]
     total = 0.0
     log_az = math.log(-z)
-    best_env = math.inf
+    best_env, best_k = math.inf, 0
     filled = len(terms)
     for k in range(1, ASYMPTOTIC_TERMS + 1):
         if k * log_az > 700.0:
@@ -367,9 +368,15 @@ def _mlf_asymptotic(alpha: float, beta: float, z: float) -> float:
             if log_env > best_env + 1.0:
                 break
             if log_env < best_env:
-                best_env = log_env
+                best_env, best_k = log_env, k
             if log_env < -40.0:
                 break
+    else:
+        if not 0 < best_k < ASYMPTOTIC_TERMS:  # the envelope is still falling
+            raise AccuracyError(
+                f"asymptotic Mittag-Leffler sum stopped at {ASYMPTOTIC_TERMS} "
+                f"terms before its smallest for alpha={alpha}, beta={beta}, z={z}"
+            )
     return total
 
 

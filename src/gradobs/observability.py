@@ -13,7 +13,6 @@ its `numerical_rank` is the verdict of `gram`, `strategic` and
 kappa makes it singular.  The *component* Gramian (p_omega(xi_q e_s),
 S = n) takes the value overlaps R and the per-axis gradient couplings G_s;
 it asks that every vector field be seen, and no command reaches it.
-`regional_gradient_norm` takes D's 1-D closed forms without forming D.
 """
 
 from __future__ import annotations
@@ -32,7 +31,12 @@ from .dynamics import (
     time_weight,
 )
 from .sensing import SensorSuite, coupling_matrix, coupling_tables
-from .spectral import Basis, Region, SpectralField, contract, sub_basis
+from .spectral import (
+    Basis,
+    Region,
+    SpectralField,
+    sub_basis,
+)
 
 RANK_REL_TOL = 1e-10
 NULL_REL_TOL = 1e-10
@@ -178,29 +182,22 @@ def response_kernel_matrix(
     return (f * (grid.weights * w)[None, :]) @ f.T
 
 
-def _interval_overlaps(top_q: int, top_j: int, lo: float, hi: float) -> tuple:
-    """The (top_q, top_j) overlaps on [lo, hi] of sqrt(2) sin(q pi x) with
-    sqrt(2) sin(j pi x): values C(q-j) - C(q+j) and derivatives
-    q j pi**2 (C(q-j) + C(q+j)), C(m) = int_lo^hi cos(m pi x) dx."""
-    q, j = np.ix_(np.arange(1, top_q + 1), np.arange(1, top_j + 1))
-    minus, plus = ((hi - lo) * np.cos(0.5 * np.pi * m * (hi + lo))
-                   * np.sinc(0.5 * m * (hi - lo)) for m in (q - j, q + j))
-    return minus - plus, np.pi**2 * q * j * (minus + plus)
-
-
 def _region_overlap(test_basis: Basis, basis: Basis, region: Region,
                     gradients: bool) -> np.ndarray:
     """sum_s int_omega t_s(xi_q) t_s(xi_j), t the value or each d/dx_s: per
-    rectangle a product over the axes of `_interval_overlaps` entries, the
-    derivative one on axis s."""
+    rectangle a product over the axes of sqrt(2) sin(j pi x) overlaps C(q-j) -
+    C(q+j), differentiated q j pi**2 (C(q-j) + C(q+j)), C(m) = int cos(m pi x)."""
     if not test_basis.dimension == basis.dimension == region.dimension:
         raise DomainError("test basis, basis and region differ in dimension")
+    q, j = np.ix_(*(np.arange(1, b.truncation + 1) for b in (test_basis, basis)))
     pairs = [np.ix_(a - 1, b - 1) for a, b in zip(test_basis.indices.T, basis.indices.T)]
     total = 0.0
     for rect in region.rectangles:
-        one_d = [tuple(t[pair] for t in _interval_overlaps(
-            test_basis.truncation, basis.truncation, lo, hi))
-            for pair, (lo, hi) in zip(pairs, rect)]
+        one_d = []
+        for pair, (lo, hi) in zip(pairs, rect):
+            minus, plus = ((hi - lo) * np.cos(0.5 * np.pi * m * (hi + lo))
+                           * np.sinc(0.5 * m * (hi - lo)) for m in (q - j, q + j))
+            one_d.append(((minus - plus)[pair], (np.pi**2 * q * j * (minus + plus))[pair]))
         for s in range(basis.dimension) if gradients else [None]:  # d/dx_s
             total = total + math.prod(t[1 if a == s else 0] for a, t in enumerate(one_d))
     return total
@@ -214,21 +211,6 @@ def overlap_matrix(test_basis: Basis, basis: Basis, region: Region) -> np.ndarra
 def grad_overlap_matrix(test_basis: Basis, basis: Basis, region: Region) -> np.ndarray:
     """D[q,j] = int_omega grad(xi_q) . grad(xi_j)."""
     return _region_overlap(test_basis, basis, region, gradients=True)
-
-
-def regional_gradient_norm(field: SpectralField, region: Region) -> float:
-    """||p_omega grad(field)|| = sqrt(c^T D c) without D: per rectangle and
-    axis s, the `dense` coefficients contracted with the T x T
-    `_interval_overlaps` tables (derivative on axis s) and dotted with them."""
-    if field.basis.dimension != region.dimension:
-        raise DomainError("field and region differ in dimension")
-    top, dense = field.basis.truncation, field.dense()
-    total = 0.0
-    for rect in region.rectangles:
-        tables = [_interval_overlaps(top, top, lo, hi) for lo, hi in rect]
-        for s in range(region.dimension):
-            total += float(np.vdot(dense, contract(dense, tables, s)))
-    return math.sqrt(max(total, 0.0))  # rounding may leave a vanishing norm < 0
 
 
 def numerical_rank(eigenvalues: np.ndarray) -> int:

@@ -278,22 +278,17 @@ class SpectralField:
             )
         object.__setattr__(self, "coefficients", coeffs)
 
-    def dense(self) -> np.ndarray:
-        """The coefficients as a dense (T, ..., T) array, entry j - 1 on mode j."""
-        dense = np.zeros((self.basis.truncation,) * self.basis.dimension)
-        dense[tuple(self.basis.indices.T - 1)] = self.coefficients
-        return dense
-
     def grid_gradient(self, axes: list) -> np.ndarray:
         """Every d/dx_s (dim, n_1, ..., n_dim) on the tensor grid of the
-        per-axis nodes: the `dense` coefficients contracted with the sine
-        tables, the derivative table on axis s."""
+        per-axis nodes: the coefficients as a dense (T, ..., T) array,
+        contracted with the sine tables, the derivative table on axis s."""
         dim, top = self.basis.dimension, self.basis.truncation
         if len(axes) != dim:
             raise DomainError(f"{len(axes)}-D grid given for a {dim}-D field")
+        dense = np.zeros((top,) * dim)
+        dense[tuple(self.basis.indices.T - 1)] = self.coefficients
         tables = [[t.T for t in axis_tables(np.arange(1, top + 1), np.asarray(x, float))]
                   for x in axes]  # (n_a, T): the sums run over the mode index
-        dense = self.dense()
         return math.sqrt(2.0) ** dim * np.stack(
             [contract(dense, tables, s) for s in range(dim)])
 

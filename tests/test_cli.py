@@ -21,8 +21,7 @@ from gradobs.observability import ConditioningWarning
 from gradobs.presets import preset, preset_names
 from gradobs.sensing import (BilinearTable, Sensor, SensorSuite, ZONE,
                              coupling_matrix)
-from gradobs.spectral import (Region, SpectralField, build_basis, grad_adjoint,
-                              restrict_gradient, whole_domain)
+from gradobs.spectral import Region, SpectralField, build_basis, restrict_gradient
 
 
 def _read(path):
@@ -501,6 +500,26 @@ def test_malformed_observations_exit_2(tmp_path, capsys, write):
     assert str(path) in err
 
 
+@pytest.mark.parametrize("name", ["heat-limit", "hum-synthetic"])
+def test_reconstruct_norms_are_the_sampled_norms(tmp_path, capsys, name):
+    # gradient_norm and relative_error are sqrt(c^T D c) from the closed-form
+    # overlaps; p_omega grad sampled on the region's quadrature grid is the
+    # independent reference
+    assert main(["reconstruct", "--preset", name, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "report.json").read_text())["payload"]
+    experiment = Experiment(preset(name))
+    state = np.array(payload["state_coefficients"])
+    truth = experiment.initial_state().coefficients
+
+    def sampled(c):
+        return restrict_gradient(SpectralField(experiment.basis, c),
+                                 experiment.region).norm
+
+    assert payload["gradient_norm"] == pytest.approx(sampled(state), rel=1e-13, abs=0.0)
+    assert payload["relative_error"] == pytest.approx(
+        sampled(state - truth) / sampled(truth), rel=1e-13, abs=0.0)
+
+
 def test_reconstruct_inline_reports_relative_error(tmp_path, capsys):
     code = main(["reconstruct", "--preset", "hum-synthetic", "--out", str(tmp_path)])
     assert code == 0
@@ -585,20 +604,6 @@ def test_counterexample_at_truncation_2_meets_the_strip_closed_form(tmp_path, ca
     payload = json.loads((tmp_path / "report.json").read_text())["payload"]
     assert payload["whole_domain_in_kernel"] is True
     assert payload["strip_closed_form_relative_error"] <= 1e-12
-
-
-@pytest.mark.parametrize("truncation", [3, 6])
-def test_counterexample_state_is_the_pulled_back_psi_gradient(truncation):
-    # the (1,3) row of the gradient overlaps over 2 pi^2 against the sampled
-    # pullback grad_adjoint(p_omega grad(psi)), psi = xi_(1,3) / (2 pi^2)
-    basis = build_basis(2, truncation)
-    psi = np.zeros(len(basis))
-    psi[basis.index_of((1, 3))] = 1.0 / (2.0 * np.pi**2)
-    for region in (whole_domain(2), Region((((0.0, 1.0), (0.0, 1.0 / 6.0)),))):
-        state = cli_module._counterexample_state(basis, region).coefficients
-        sampled = grad_adjoint(restrict_gradient(SpectralField(basis, psi), region),
-                               basis).coefficients
-        assert np.max(np.abs(state - sampled)) <= 1e-14 * np.max(np.abs(sampled))
 
 
 def test_counterexample_on_another_sensor_suite_is_a_config_error(tmp_path, capsys):

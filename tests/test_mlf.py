@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradobs.mlf as mlf_module
 import mlf_gap_table
-from gradobs.errors import DomainError
+from gradobs.errors import AccuracyError, DomainError
 from gradobs.mlf import (
     BETA_MAX,
     THETA_MIN,
@@ -401,6 +401,21 @@ def test_asymptotic_branch_reaches_its_smallest_term_at_small_alpha(
     # and 2.0e-8 at (0.02, 34.5 nats)
     assert z == _at_peak_nats(alpha, peak_nats)
     assert mlf(alpha, alpha, z) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+
+def test_asymptotic_branch_refuses_to_stop_short_of_its_smallest_term():
+    # below alpha ~ 34 / ASYMPTOTIC_TERMS the smallest term at the seam lies
+    # past the cap: the sum is refused rather than returned short
+    for alpha in (0.0085, 0.005):
+        with pytest.raises(AccuracyError, match="before its smallest"):
+            mlf(alpha, alpha, _at_peak_nats(alpha, 34.5))
+    # deeper in the branch the smallness stop comes first: at (0.005, 100
+    # nats) against `mlf_gap_table.gap_value` (a sum 15 digits finer agreed
+    # to 25 digits)
+    z = _at_peak_nats(0.005, 100.0)
+    assert z == -1.023292992280754
+    assert mlf(0.005, 0.005, z) == pytest.approx(0.001221354055707036723236373,
+                                                 rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha", [1.0 - 1e-12, 1.0 - 1e-7])

@@ -27,7 +27,6 @@ from gradobs.observability import (
     level_ranks,
     numerical_rank,
     overlap_matrix,
-    regional_gradient_norm,
     response_kernel_matrix,
     strategic_test_1d,
 )
@@ -59,14 +58,6 @@ PI2 = math.pi**2
 
 def _pointwise_suite(*locations):
     return SensorSuite(tuple(Sensor(POINTWISE, loc) for loc in locations))
-
-
-def _psi(basis):
-    # xi_{(1,3)} / (2 pi^2): its gradient is globally invisible to the
-    # midline filament
-    coefficients = np.zeros(len(basis))
-    coefficients[basis.index_of((1, 3))] = 1.0 / (2.0 * PI2)
-    return SpectralField(basis, coefficients)
 
 
 def _pullback(field, region):
@@ -447,48 +438,6 @@ def test_grad_overlap_memory_is_test_rows_times_basis():
     assert peak < 16e6
 
 
-@pytest.mark.parametrize("dimension,truncation", [(1, 1), (1, 9), (2, 2), (2, 7)])
-@pytest.mark.parametrize("rectangles", [
-    (((0.1, 0.7), (0.2, 0.9)),),
-    (((0.05, 0.45), (0.2, 0.9)), ((0.5, 0.95), (0.0, 0.6))),
-], ids=["one-rectangle", "two-rectangles"])
-def test_regional_gradient_norm_is_the_overlap_quadratic_form(dimension, truncation,
-                                                              rectangles):
-    # against sqrt(c^T D c) of the assembled D, and against the norm of the
-    # gradient sampled on the region's quadrature grid
-    basis = build_basis(dimension, truncation)
-    region = Region(tuple(rect[:dimension] for rect in rectangles))
-    rng = np.random.default_rng(10 * dimension + truncation)
-    for _ in range(3):
-        field = SpectralField(basis, rng.normal(size=len(basis)))
-        c = field.coefficients
-        norm = regional_gradient_norm(field, region)
-        quadratic = math.sqrt(c @ grad_overlap_matrix(basis, basis, region) @ c)
-        assert norm == pytest.approx(quadratic, rel=1e-14, abs=0.0)
-        assert norm == pytest.approx(restrict_gradient(field, region).norm,
-                                     rel=1e-13, abs=0.0)
-    assert regional_gradient_norm(SpectralField(basis, np.zeros(len(basis))),
-                                  region) == 0.0
-    other_dimension = Region((((0.0, 0.5),) * (3 - dimension),))
-    with pytest.raises(DomainError):
-        regional_gradient_norm(field, other_dimension)
-
-
-def test_regional_gradient_norm_stays_small_at_large_truncation():
-    # no M x M matrix: the one-line sqrt(c^T D c) holds a 10^4 x 10^4 D here,
-    # and the sampled norm a (dim, 1600^2) array per rectangle
-    basis = build_basis(2, 100)
-    field = SpectralField(basis, np.random.default_rng(1).normal(size=len(basis)))
-    strip = Region((((0.0, 1.0), (0.0, 0.5)),))
-    tracemalloc.start()
-    try:
-        regional_gradient_norm(field, strip)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6
-
-
 def test_overlaps_reject_dimension_mismatch():
     strip = Region((((0.0, 1.0), (0.0, 0.5)),))
     one, two = build_basis(1, 3), build_basis(2, 3)
@@ -547,12 +496,12 @@ def test_positive_definite_is_full_numerical_rank(eigenvalues):
     assert numerical_rank(eigenvalues[::-1]) == numerical_rank(eigenvalues)
 
 
-def test_kernel_test_counterexample_field():
+def test_kernel_test_counterexample_field(psi):
     basis = build_basis(2, 6)
     suite = Experiment(preset("counterexample")).suite
     grid = time_grid(0.5, 1.0)
     strip = Region((((0.0, 1.0), (0.0, 1.0 / 6.0)),))
-    states = tuple(_pullback(_psi(basis), region) for region in (whole_domain(2), strip))
+    states = tuple(_pullback(psi(basis), region) for region in (whole_domain(2), strip))
     whole, partial = kernel_test(states, suite, 0.5, grid)
     assert whole.in_kernel
     assert whole.sup_norm < 1e-9 * whole.scale
@@ -564,17 +513,17 @@ def test_kernel_test_counterexample_field():
     assert report.in_kernel
     # one coupling and one response matrix serve every state: one basis
     with pytest.raises(DomainError, match="differ in basis"):
-        kernel_test((states[0], _psi(build_basis(2, 3))), suite, 0.5, grid)
+        kernel_test((states[0], psi(build_basis(2, 3))), suite, 0.5, grid)
 
 
-def test_kernel_test_channels_match_simulate():
+def test_kernel_test_channels_match_simulate(psi):
     # simulate is the independent path to the strip state's output
     basis = build_basis(2, 6)
     suite = Experiment(preset("counterexample")).suite
     edges = np.linspace(0.0, 1.0, 5) ** grading_exponent(0.5)  # 4 panels
     grid = TimeGrid(1.0, *gauss_panels(edges))
     strip = Region((((0.0, 1.0), (0.0, 1.0 / 6.0)),))
-    state = _pullback(_psi(basis), strip)
+    state = _pullback(psi(basis), strip)
     (report,) = kernel_test((state,), suite, 0.5, grid)
     expected = simulate(state, suite, 0.5, grid).channels
     assert report.channels.shape == expected.shape

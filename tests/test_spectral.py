@@ -23,13 +23,6 @@ from gradobs.spectral import (
 )
 
 
-def _psi(basis):
-    """psi = sin(pi x) sin(3 pi y) / pi^2 = xi_{(1,3)} / (2 pi^2) on the basis."""
-    coefficients = np.zeros(len(basis))
-    coefficients[basis.index_of((1, 3))] = 1.0 / (2.0 * math.pi**2)
-    return SpectralField(basis, coefficients)
-
-
 def test_build_basis_validation():
     with pytest.raises(DomainError):
         build_basis(3, 4)
@@ -153,7 +146,7 @@ def test_basis_tables_match_mode_formulas(dimension, truncation):
             assert (mode.grad(pts)[:, s] == col).all()
 
 
-def test_basis_tables_reject_point_dimension():
+def test_basis_tables_reject_point_dimension(psi):
     mode = build_basis(2, 3).modes[4]
     with pytest.raises(DomainError):
         mode.eval(np.full((4, 1), 0.5))
@@ -163,7 +156,7 @@ def test_basis_tables_reject_point_dimension():
         SpectralField(build_basis(1, 3), np.ones(3)).grid_gradient([np.ones(4)] * 2)
     with pytest.raises(DomainError):
         SpectralField(build_basis(2, 3), np.ones(9)).grid_gradient([np.ones(4)])
-    samples = restrict_gradient(_psi(build_basis(2, 3)), whole_domain(2))
+    samples = restrict_gradient(psi(build_basis(2, 3)), whole_domain(2))
     with pytest.raises(DomainError):
         grad_adjoint(samples, build_basis(1, 3))
 
@@ -177,11 +170,11 @@ def test_basis_index_array_stays_out_of_equality():
         a.indices[0, 0] = 5  # shared by every evaluation of the basis
 
 
-def test_grad_adjoint_recovers_eigenfunction_gradient():
+def test_grad_adjoint_recovers_eigenfunction_gradient(psi):
     # g = grad(xi_{(1,3)}) / (2 pi^2): the pullback coefficient on (1,3) is
     # |lambda_{(1,3)}| / (2 pi^2) = 10 pi^2 / (2 pi^2) = 5, all others vanish.
     basis = build_basis(2, 4)
-    samples = restrict_gradient(_psi(basis), whole_domain(2))
+    samples = restrict_gradient(psi(basis), whole_domain(2))
     state = grad_adjoint(samples, basis)
     target = basis.index_of((1, 3))
     for j, c in enumerate(state.coefficients):
